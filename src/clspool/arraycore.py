@@ -30,11 +30,7 @@ __all__ = [
     "matmul",
     "add",
     "add_vec",
-    "scale",
-    "transpose",
     "reshape",
-    "concat_lastaxis",
-    "slice_lastaxis",
     "slice_rows",
     "stack_axis0",
     "softmax_lastaxis",
@@ -45,7 +41,7 @@ __all__ = [
     "gelu",
     "dropout",
     "mask_rows",
-    "mask_scores",
+    "attention",
     "embed_lookup",
     "sum_all",
     "cross_entropy_mean",
@@ -250,53 +246,10 @@ def add_vec(x: Array, v: Array) -> Array:
     return _make("add_vec", out, (x, v), bwd)
 
 
-def scale(x: Array, c: float) -> Array:
-    c = float(c)
-    return _make("scale", x.data * c, (x,), lambda g: (g * c,))
-
-
-def transpose(x: Array) -> Array:
-    """Swap the last two axes."""
-    if x.ndim < 2:
-        raise ShapeError(f"transpose: need rank >= 2, got shape {x.shape}")
-    return _make("transpose", np.swapaxes(x.data, -1, -2), (x,),
-                 lambda g: (np.swapaxes(g, -1, -2),))
-
-
 def reshape(x: Array, shape) -> Array:
     old = x.shape
     return _make("reshape", x.data.reshape(shape), (x,),
                  lambda g: (g.reshape(old),))
-
-
-def concat_lastaxis(parts: Sequence[Array]) -> Array:
-    if not parts:
-        raise ShapeError("concat_lastaxis: empty input list")
-    lead = parts[0].shape[:-1]
-    for p in parts:
-        if p.shape[:-1] != lead:
-            raise ShapeError(f"concat_lastaxis: leading shapes differ: "
-                             f"{p.shape} vs {parts[0].shape}")
-    out = np.concatenate([p.data for p in parts], axis=-1)
-    splits = np.cumsum([p.shape[-1] for p in parts])[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=-1))
-
-    return _make("concat_lastaxis", out, tuple(parts), bwd)
-
-
-def slice_lastaxis(x: Array, start: int, stop: int) -> Array:
-    if not (0 <= start < stop <= x.shape[-1]):
-        raise ShapeError(f"slice_lastaxis: [{start}:{stop}] out of range for {x.shape}")
-    out = x.data[..., start:stop].copy()
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[..., start:stop] = g
-        return (gx,)
-
-    return _make("slice_lastaxis", out, (x,), bwd)
 
 
 def slice_rows(x: Array, start: int, stop: int) -> Array:
@@ -464,19 +417,63 @@ def mask_rows(x: Array, mask: np.ndarray) -> Array:
     return _make("mask_rows", x.data * m, (x,), lambda g: (g * m,))
 
 
-def mask_scores(scores: Array, mask: np.ndarray) -> Array:
-    """Add a large negative penalty to attention scores at masked-out keys.
+def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """(..., T, d) -> contiguous (..., h, T, d/h); head s holds columns s*dh:(s+1)*dh.
 
-    scores is (..., q, T); mask is (..., T) over the key axis and broadcasts
-    across queries. The penalty is constant, so the backward is the identity.
+    The copy matters: matmul over strided views rounds differently in the last
+    bits from matmul over contiguous per-head blocks.
     """
-    m = np.asarray(mask, dtype=scores.data.dtype)
-    if m.shape == scores.shape[:-2] + (scores.shape[-1],):
-        m = m[..., None, :]
-    elif m.shape != scores.shape:
-        raise ShapeError(f"mask_scores: mask {mask.shape} does not fit scores {scores.shape}")
-    penalty = (1.0 - m) * MASK_PENALTY
-    return _make("mask_scores", scores.data + penalty, (scores,), lambda g: (g,))
+    *lead, t, d = x.shape
+    return np.ascontiguousarray(
+        np.swapaxes(x.reshape(*lead, t, num_heads, d // num_heads), -2, -3))
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of _split_heads: (..., h, T, dh) -> (..., T, h * dh)."""
+    *lead, h, t, dh = x.shape
+    return np.swapaxes(x, -2, -3).reshape(*lead, t, h * dh)
+
+
+def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
+              probs_out: list | None = None) -> Array:
+    """Multi-head scaled dot-product attention: softmax(Q K^T / sqrt(dh) + M) V.
+
+    q is (..., Tq, d); k and v are (..., T, d); mask is (..., T) over the keys,
+    and masked keys get MASK_PENALTY added to their scores. Head s uses columns
+    s*dh:(s+1)*dh of q, k and v; the head outputs are concatenated back into
+    (..., Tq, d). When probs_out is a list, the (..., h, Tq, T) attention
+    weights are appended to it.
+
+    Backward, per head, with P the weights and G the output gradient:
+    dV = P^T G, dP = G V^T, dS = P * (dP - rowsum(dP * P)) / sqrt(dh),
+    dQ = dS K, dK = dS^T Q.
+    """
+    d = q.shape[-1]
+    if q.ndim < 2 or k.shape != v.shape or k.shape[:-2] != q.shape[:-2] \
+            or k.shape[-1] != d:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not line up")
+    if num_heads < 1 or d % num_heads:
+        raise ShapeError(f"attention: {num_heads} heads do not divide d={d}")
+    m = np.asarray(mask, dtype=q.data.dtype)
+    if m.shape != k.shape[:-1]:
+        raise ShapeError(f"attention: mask {m.shape} does not match keys {k.shape[:-1]}")
+    c = 1.0 / math.sqrt(d // num_heads)  # a Python float: float32 data stays float32
+    qh, kh, vh = (_split_heads(x.data, num_heads) for x in (q, k, v))
+    penalty = ((1.0 - m) * MASK_PENALTY)[..., None, None, :]
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * c + penalty
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    if probs_out is not None:
+        probs_out.append(p)
+
+    def bwd(g):
+        gh = _split_heads(g, num_heads)
+        dp = gh @ np.swapaxes(vh, -1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        return (_merge_heads(ds @ kh), _merge_heads(np.swapaxes(ds, -1, -2) @ qh),
+                _merge_heads(np.swapaxes(p, -1, -2) @ gh))
+
+    return _make("attention", _merge_heads(p @ vh), (q, k, v), bwd)
 
 
 def embed_lookup(table: Array, ids: np.ndarray) -> Array:
@@ -552,15 +549,21 @@ def squared_error_mean(preds: Array, targets: np.ndarray) -> Array:
 
 def grad_check(f: Callable[[], Array], params: Sequence[Array],
                step: float = 1e-5, max_coords_per_param: int | None = None,
-               rng: np.random.Generator | None = None) -> float:
+               rng: np.random.Generator | None = None,
+               reference: tuple[Callable[[], Array], Sequence[Array]] | None = None
+               ) -> float:
     """Compare reverse-mode gradients of f() against central differences.
 
     Returns max over checked coordinates of |a - n| / max(1e-8, |a| + |n|).
-    Meaningful only on float64 parameters. When max_coords_per_param is set,
-    a random subset of coordinates per parameter is probed (seeded via rng).
+    Meaningful only when the differences are taken in float64: either params
+    are float64, or reference is a float64 twin (f64, params64) of (f, params)
+    holding the same values, params listed in the same order, whose central
+    differences then stand in for f's. When max_coords_per_param is set, a
+    random subset of coordinates per parameter is probed (seeded via rng).
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    num_f, num_params = (f, params) if reference is None else reference
 
     for p in params:
         p.zero_grad()
@@ -574,14 +577,14 @@ def grad_check(f: Callable[[], Array], params: Sequence[Array],
                 for p in params]
 
     def eval_scalar() -> float:
-        val = f()
+        val = num_f()
         v = float(val.data)
         if not math.isfinite(v):
             raise EvaluationError("grad_check: f evaluated to a non-finite value")
         return v
 
     worst = 0.0
-    for p, a in zip(params, analytic):
+    for p, a in zip(num_params, analytic, strict=True):
         flat = p.data.reshape(-1)
         n_coords = flat.shape[0]
         if max_coords_per_param is not None and n_coords > max_coords_per_param:

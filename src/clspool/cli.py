@@ -385,6 +385,15 @@ def write_compare_csv(path: Path, reports: list[RunReport], seeds: list[int]) ->
     _write_csv(path, header, rows)
 
 
+def _report_failures(records: list[dict], where: str = "") -> int:
+    """Name every failed run on stderr; the grid command's exit code."""
+    failed = [r for r in records if "error" in r]
+    for r in failed:
+        print(f"run failed: {where}head={r['head']} seed={r['seed']}: {r['error']}",
+              file=sys.stderr)
+    return RUNTIME_ERROR if failed else 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -432,11 +441,7 @@ def cmd_compare(args) -> int:
     print(mean_table)
     print("Seed standard deviations:")
     print(std_table)
-    failed = [r for r in records if "error" in r]
-    for r in failed:
-        print(f"run failed: head={r['head']} seed={r['seed']}: {r['error']}",
-              file=sys.stderr)
-    return RUNTIME_ERROR if failed else 0
+    return _report_failures(records)
 
 
 def cmd_ablate_k(args) -> int:
@@ -446,10 +451,10 @@ def cmd_ablate_k(args) -> int:
         if not 1 <= k <= exp.num_layers:
             raise CliError(f"ablate-k: k={k} outside [1, {exp.num_layers}]")
     num_heads = args.heads or 4
-    base_kind = args.pool or "maxseq+mha"
-    if base_kind not in ("maxseq+mha", "meanseq+mha", "normseq+mha"):
-        raise CliError(f"ablate-k: cannot sweep k for head kind '{base_kind}'")
-    heads = [f"{base_kind}:k={k},h={num_heads}" for k in ks]
+    base = HeadKind(args.pool or "maxseq+mha")
+    if not (base.uses_depth and base.uses_attention):
+        raise CliError(f"ablate-k: cannot sweep k for head kind '{base.kind}'")
+    heads = [f"{base.kind}:k={k},h={num_heads}" for k in ks]
     out_dir = Path(exp.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = _run_grid(exp, heads, exp.seeds, out_dir)
@@ -458,12 +463,13 @@ def cmd_ablate_k(args) -> int:
     lines = ["k".ljust(6) + "".join(METRIC_LABELS[m].rjust(10) for m in cols)]
     for k, report in zip(ks, reports):
         lines.append(f"k = {k}".ljust(6)
-                     + "".join(f"{report.aggregates[m].mean:10.4f}" for m in cols))
+                     + "".join(f"{report.aggregates[m].mean:10.4f}" if m in report.aggregates
+                               else "n/a".rjust(10) for m in cols))
     table = "\n".join(lines) + "\n"
     (out_dir / "ablate_k.txt").write_text(table, encoding="utf-8")
     write_compare_csv(out_dir / "ablate_k.csv", reports, exp.seeds)
     print(table)
-    return 0
+    return _report_failures(records)
 
 
 def cmd_lowres(args) -> int:
@@ -482,10 +488,12 @@ def cmd_lowres(args) -> int:
     out_dir = Path(exp.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    status = 0
     for size in sizes:
         label = "full" if size is None else str(size)
         sub_dir = out_dir / f"size_{label}"
         records = _run_grid(exp, exp.heads, exp.seeds, sub_dir, subsample_n=size)
+        status = _report_failures(records, f"size={label} ") or status
         reports = build_reports(records, exp.heads)
         (sub_dir / "compare.txt").write_text(format_mean_table(reports),
                                              encoding="utf-8")
@@ -498,7 +506,7 @@ def cmd_lowres(args) -> int:
     _write_csv(out_dir / "lowres.csv", ["size", "head", "metric", "mean", "std", "delta"],
                rows)
     print((out_dir / "lowres.csv").read_text())
-    return 0
+    return status
 
 
 def gradcheck_model(bits: int, seed: int = 13) -> tuple[Model, np.ndarray, np.ndarray]:
@@ -540,45 +548,31 @@ def _head_loss(model: Model, kind: HeadKind, ids, mask):
     return ac.sum_all(head_forward(kind, stack, model.head))
 
 
-def _gradcheck_32bit(seed: int) -> dict[str, float]:
-    """f32 reverse-mode gradients against f64-twin central differences.
+def _gradcheck_errors(bits: int, seed: int) -> dict[str, float]:
+    """Worst relative gradient error per head spec.
 
-    Float32 finite differences cannot resolve small gradients at all, so the
-    numeric side runs on a float64 model holding the exact same parameter
-    values; the result measures how far f32 forward/backward rounding drifts
-    from the true derivatives.
+    In 32-bit mode the central differences run on a float64 twin holding the
+    same parameter values, as float32 differences cannot resolve small
+    gradients. 32-bit probes share one coordinate stream across specs.
     """
-    model32, ids, mask = gradcheck_model(32, seed)
-    model64, _, _ = gradcheck_model(64, seed)
-    pairs = list(zip(model32.named_parameters(), model64.named_parameters()))
-    for (_, p32), (_, p64) in pairs:
-        p64.data = p32.data.astype(np.float64)
-    rng = np.random.default_rng(seed)
+    model, ids, mask = gradcheck_model(bits, seed)
+    params = [p for _, p in model.named_parameters()]
+    if bits == 32:
+        twin, _, _ = gradcheck_model(64, seed)
+        twin_params = [p for _, p in twin.named_parameters()]
+        for p32, p64 in zip(params, twin_params):
+            p64.data = p32.data.astype(np.float64)
+    shared_rng = np.random.default_rng(seed)
     errors = {}
     for spec in GRADCHECK_HEAD_SPECS:
         kind = parse_head_spec(spec)
-        for (_, p32), _ in pairs:
-            p32.zero_grad()
-        ac.backward(_head_loss(model32, kind, ids, mask))
-        worst = 0.0
-        for (_, p32), (_, p64) in pairs:
-            grads = np.zeros_like(p32.data) if p32.grad is None else p32.grad
-            flat64 = p64.data.reshape(-1)
-            a_flat = grads.reshape(-1)
-            n_coords = flat64.shape[0]
-            coords = (rng.choice(n_coords, size=4, replace=False)
-                      if n_coords > 4 else range(n_coords))
-            for i in coords:
-                orig = flat64[i]
-                flat64[i] = orig + 1e-5
-                f_plus = _head_loss(model64, kind, ids, mask).item()
-                flat64[i] = orig - 1e-5
-                f_minus = _head_loss(model64, kind, ids, mask).item()
-                flat64[i] = orig
-                numeric = (f_plus - f_minus) / 2e-5
-                denom = max(1e-8, abs(a_flat[i]) + abs(numeric))
-                worst = max(worst, abs(a_flat[i] - numeric) / denom)
-        errors[spec] = worst
+        reference = None
+        if bits == 32:
+            reference = (lambda: _head_loss(twin, kind, ids, mask), twin_params)
+        errors[spec] = ac.grad_check(
+            lambda: _head_loss(model, kind, ids, mask), params, step=1e-5,
+            max_coords_per_param=4, reference=reference,
+            rng=shared_rng if bits == 32 else np.random.default_rng(seed))
     return errors
 
 
@@ -587,18 +581,7 @@ def cmd_gradcheck(args) -> int:
     if bits == 32:
         print("warning: 32-bit mode; tolerance loosens to 1e-2", file=sys.stderr)
     tolerance = GRADCHECK_TOLERANCE[bits]
-    seed = (args.seed or [13])[0]
-    if bits == 32:
-        errors = _gradcheck_32bit(seed)
-    else:
-        model, ids, mask = gradcheck_model(64, seed)
-        params = [p for _, p in model.named_parameters()]
-        errors = {}
-        for spec in GRADCHECK_HEAD_SPECS:
-            kind = parse_head_spec(spec)
-            errors[spec] = ac.grad_check(
-                lambda: _head_loss(model, kind, ids, mask), params, step=1e-5,
-                max_coords_per_param=4, rng=np.random.default_rng(seed))
+    errors = _gradcheck_errors(bits, (args.seed or [13])[0])
     all_ok = True
     for spec, err in errors.items():
         ok = err < tolerance

@@ -152,21 +152,10 @@ def self_attention(x: Array, layer: EncoderLayerParams, mask: np.ndarray,
                    num_heads: int) -> Array:
     """Multi-head self-attention over x (..., T, d); residual and layer norm
     are the caller's job. Masked keys get score -1e9 before softmax."""
-    d = x.shape[-1]
-    dh = d // num_heads
-    inv_scale = 1.0 / np.sqrt(dh)
     q = ac.matmul(x, layer.wq)
     k = ac.matmul(x, layer.wk)
     v = ac.matmul(x, layer.wv)
-    heads = []
-    for s in range(num_heads):
-        lo, hi = s * dh, (s + 1) * dh
-        scores = ac.matmul(ac.slice_lastaxis(q, lo, hi),
-                           ac.transpose(ac.slice_lastaxis(k, lo, hi)))
-        scores = ac.mask_scores(ac.scale(scores, inv_scale), mask)
-        attn = ac.softmax_lastaxis(scores)
-        heads.append(ac.matmul(attn, ac.slice_lastaxis(v, lo, hi)))
-    return ac.matmul(ac.concat_lastaxis(heads), layer.wo)
+    return ac.matmul(ac.attention(q, k, v, mask, num_heads), layer.wo)
 
 
 def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,

@@ -1,6 +1,9 @@
 """Aggregation heads: interchangeable strategies mapping a layer stack to logits.
 
-Six kinds are supported, named by what they pool:
+Every head follows one recipe. It takes the [CLS] row or the whole sequence,
+pools those rows over the last k layers (or keeps the final layer alone),
+optionally runs one extra multi-head attention step with the pooled [CLS]
+slot as the query, and classifies. Six kinds are supported:
 
 * ``baseline``      - final-layer [CLS] straight into the classifier
 * ``maxcls``        - element-wise max over the [CLS] vectors of the last k layers
@@ -20,6 +23,7 @@ bare attention block so the comparison between kinds stays clean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,24 +41,32 @@ __all__ = [
     "xavier_uniform_init",
     "init_head_params",
     "theta",
-    "head_baseline",
-    "head_max_cls",
     "cls_attend",
-    "head_mha",
-    "head_max_seq_mha",
-    "head_mean_seq_mha",
-    "head_norm_select_seq_mha",
+    "aggregate",
     "classify",
     "head_forward",
 ]
 
-VALID_HEAD_KINDS = ("baseline", "maxcls", "mha", "maxseq+mha", "meanseq+mha",
-                    "normseq+mha")
+
+class _Recipe(NamedTuple):
+    rows: str          # "cls": the [CLS] row only; "seq": the whole sequence
+    pool: str | None   # arraycore op pooling the last k layers; None: final layer only
+    attends: bool      # one cls_attend step over the pooled rows
+
+
+# Pool ops are named, not bound, so that a patched arraycore op takes effect.
+_RECIPES = {
+    "baseline": _Recipe("cls", None, False),
+    "maxcls": _Recipe("cls", "max_over_axis0", False),
+    "mha": _Recipe("seq", None, True),
+    "maxseq+mha": _Recipe("seq", "max_over_axis0", True),
+    "meanseq+mha": _Recipe("seq", "mean_over_axis0", True),
+    "normseq+mha": _Recipe("seq", "select_max_norm_axis0", True),
+}
+
+VALID_HEAD_KINDS = tuple(_RECIPES)
 DEFAULT_K = 3
 DEFAULT_NUM_HEADS = 4
-
-_POOLED_KINDS = ("maxseq+mha", "meanseq+mha", "normseq+mha")
-_MHA_KINDS = ("mha",) + _POOLED_KINDS
 
 
 class ConfigurationError(ValueError):
@@ -65,6 +77,11 @@ class SliceError(ValueError):
     """Requested layer/token slice exceeds the stack."""
 
 
+def _unknown_kind(name: str) -> ConfigurationError:
+    return ConfigurationError(f"unknown head kind '{name}'; valid kinds: "
+                              + ", ".join(VALID_HEAD_KINDS))
+
+
 @dataclass(frozen=True)
 class HeadKind:
     kind: str
@@ -72,10 +89,8 @@ class HeadKind:
     num_heads: int = DEFAULT_NUM_HEADS
 
     def __post_init__(self):
-        if self.kind not in VALID_HEAD_KINDS:
-            raise ConfigurationError(
-                f"unknown head kind '{self.kind}'; valid kinds: "
-                + ", ".join(VALID_HEAD_KINDS))
+        if self.kind not in _RECIPES:
+            raise _unknown_kind(self.kind)
         if self.k < 1:
             raise ConfigurationError(f"head kind '{self.kind}': k must be >= 1, got {self.k}")
         if self.num_heads < 1:
@@ -84,30 +99,25 @@ class HeadKind:
 
     @property
     def uses_attention(self) -> bool:
-        return self.kind in _MHA_KINDS
+        return _RECIPES[self.kind].attends
 
     @property
     def uses_depth(self) -> bool:
-        return self.kind in ("maxcls",) + _POOLED_KINDS
+        return _RECIPES[self.kind].pool is not None
 
     def spec(self) -> str:
         """Short string form usable on the command line."""
-        if self.kind == "baseline":
-            return "baseline"
-        if self.kind == "maxcls":
-            return f"maxcls:k={self.k}"
-        if self.kind == "mha":
-            return f"mha:h={self.num_heads}"
-        return f"{self.kind}:k={self.k},h={self.num_heads}"
+        args = ([f"k={self.k}"] if self.uses_depth else []) \
+            + ([f"h={self.num_heads}"] if self.uses_attention else [])
+        return self.kind + (":" + ",".join(args) if args else "")
 
 
 def parse_head_spec(spec: str) -> HeadKind:
     """Parse strings like 'maxseq+mha:k=3,h=4' into a HeadKind."""
     name, _, argstr = spec.strip().partition(":")
-    if name not in VALID_HEAD_KINDS:
-        raise ConfigurationError(
-            f"unknown head kind '{name}'; valid kinds: " + ", ".join(VALID_HEAD_KINDS))
-    kwargs = {}
+    if name not in _RECIPES:
+        raise _unknown_kind(name)
+    args = {}
     if argstr:
         for part in argstr.split(","):
             key, _, value = part.partition("=")
@@ -116,19 +126,15 @@ def parse_head_spec(spec: str) -> HeadKind:
                 number = int(value)
             except ValueError:
                 raise ConfigurationError(f"head spec '{spec}': bad value in '{part}'")
-            if key == "k":
-                kwargs["k"] = number
-            elif key == "h":
-                kwargs["num_heads"] = number
-            else:
+            if key not in ("k", "h"):
                 raise ConfigurationError(f"head spec '{spec}': unknown argument '{key}'")
-    if name == "baseline" and kwargs:
-        raise ConfigurationError("head spec 'baseline' takes no arguments")
-    if name == "maxcls" and "num_heads" in kwargs:
-        raise ConfigurationError("head spec 'maxcls' takes no h argument")
-    if name == "mha" and "k" in kwargs:
-        raise ConfigurationError("head spec 'mha' takes no k argument")
-    return HeadKind(kind=name, **kwargs)
+            args[key] = number
+    recipe = _RECIPES[name]
+    for key, taken in (("k", recipe.pool is not None), ("h", recipe.attends)):
+        if key in args and not taken:
+            raise ConfigurationError(f"head spec '{name}' takes no {key} argument")
+    return HeadKind(kind=name, k=args.get("k", DEFAULT_K),
+                    num_heads=args.get("h", DEFAULT_NUM_HEADS))
 
 
 @dataclass
@@ -176,10 +182,8 @@ def init_head_params(kind: HeadKind, d_model: int, n_classes: int,
         b_cls=Array(np.zeros(n_classes, dtype=dtype)),
     )
     if kind.uses_attention:
-        params.wq = xavier_uniform_init(d_model, d_model, rng, dtype)
-        params.wk = xavier_uniform_init(d_model, d_model, rng, dtype)
-        params.wv = xavier_uniform_init(d_model, d_model, rng, dtype)
-        params.wo = xavier_uniform_init(d_model, d_model, rng, dtype)
+        for name in ("wq", "wk", "wv", "wo"):
+            setattr(params, name, xavier_uniform_init(d_model, d_model, rng, dtype))
     return params
 
 
@@ -197,84 +201,46 @@ def theta(stack: LayerStack, k: int, t: int) -> Array:
     return ac.stack_axis0([ac.slice_rows(y, 0, t) for y in stack.activations[n - k:]])
 
 
-def head_baseline(stack: LayerStack) -> Array:
-    """Final-layer [CLS] vector, unchanged."""
-    return cls_of(stack, stack.num_layers)
-
-
-def head_max_cls(stack: LayerStack, k: int) -> Array:
-    """Element-wise max over the last k layers' [CLS] vectors."""
-    return ac.max_over_axis0(theta(stack, k, 1))
-
-
 def cls_attend(query_cls: Array, context: Array, params: HeadParams,
                mask: np.ndarray, num_heads: int = DEFAULT_NUM_HEADS,
                return_weights: bool = False):
     """One multi-head attention step with a single query row.
 
     No residual, no layer norm, no activation afterward: heads are
-    concatenated and projected by wo, and that is the output.
+    concatenated and projected by wo, and that is the output. With
+    return_weights, also returns the list of per-head (..., 1, T) weights.
     """
     if params.wq is None or params.wk is None or params.wv is None or params.wo is None:
         raise ConfigurationError("cls_attend: head params carry no attention projections")
-    d = context.shape[-1]
-    if d % num_heads != 0:
-        raise ConfigurationError(f"cls_attend: num_heads {num_heads} does not divide d {d}")
-    dh = d // num_heads
-    inv_scale = 1.0 / np.sqrt(dh)
     q = ac.matmul(query_cls, params.wq)
     k = ac.matmul(context, params.wk)
     v = ac.matmul(context, params.wv)
-    outs, weights = [], []
-    for s in range(num_heads):
-        lo, hi = s * dh, (s + 1) * dh
-        scores = ac.matmul(ac.slice_lastaxis(q, lo, hi),
-                           ac.transpose(ac.slice_lastaxis(k, lo, hi)))
-        scores = ac.mask_scores(ac.scale(scores, inv_scale), mask)
-        attn = ac.softmax_lastaxis(scores)
-        weights.append(attn.data)
-        outs.append(ac.matmul(attn, ac.slice_lastaxis(v, lo, hi)))
-    out = ac.matmul(ac.concat_lastaxis(outs), params.wo)
+    probs: list[np.ndarray] = []
+    out = ac.matmul(ac.attention(q, k, v, mask, num_heads, probs_out=probs), params.wo)
     if return_weights:
-        return out, weights
+        return out, [probs[0][..., s, :, :] for s in range(num_heads)]
     return out
 
 
-def head_mha(stack: LayerStack, params: HeadParams, mask: np.ndarray | None = None,
-             num_heads: int = DEFAULT_NUM_HEADS) -> Array:
-    """Final [CLS] queries the whole final layer through the extra attention."""
-    mask = stack.mask if mask is None else mask
-    return cls_attend(head_baseline(stack), stack.activations[-1], params, mask,
-                      num_heads)
+def aggregate(kind: HeadKind, stack: LayerStack, params: HeadParams,
+              mask: np.ndarray | None = None) -> Array:
+    """The representation a head classifies, shaped (..., 1, d).
 
-
-def _pooled_seq_mha(stack: LayerStack, k: int, params: HeadParams,
-                    mask: np.ndarray | None, num_heads: int, pool) -> Array:
-    mask = stack.mask if mask is None else mask
-    pooled = pool(theta(stack, k, stack.seq_len))
-    query = ac.slice_rows(pooled, 0, 1)  # the pooled [CLS] slot
-    return cls_attend(query, pooled, params, mask, num_heads)
-
-
-def head_max_seq_mha(stack: LayerStack, k: int, params: HeadParams,
-                     mask: np.ndarray | None = None,
-                     num_heads: int = DEFAULT_NUM_HEADS) -> Array:
-    """Max-pool whole sequences of the last k layers, then attend over the pool."""
-    return _pooled_seq_mha(stack, k, params, mask, num_heads, ac.max_over_axis0)
-
-
-def head_mean_seq_mha(stack: LayerStack, k: int, params: HeadParams,
-                      mask: np.ndarray | None = None,
-                      num_heads: int = DEFAULT_NUM_HEADS) -> Array:
-    """Mean-pool variant of head_max_seq_mha."""
-    return _pooled_seq_mha(stack, k, params, mask, num_heads, ac.mean_over_axis0)
-
-
-def head_norm_select_seq_mha(stack: LayerStack, k: int, params: HeadParams,
-                             mask: np.ndarray | None = None,
-                             num_heads: int = DEFAULT_NUM_HEADS) -> Array:
-    """Per position keep the layer vector with the largest L2 norm, then attend."""
-    return _pooled_seq_mha(stack, k, params, mask, num_heads, ac.select_max_norm_axis0)
+    Pools the kind's rows over the last k layers (the final layer alone when
+    the kind has no pool), then lets the pooled [CLS] slot attend over them
+    when the kind attends. mask defaults to the stack's validity mask.
+    """
+    recipe = _RECIPES[kind.kind]
+    if recipe.pool is None:
+        rep = cls_of(stack, stack.num_layers) if recipe.rows == "cls" \
+            else stack.activations[-1]
+    else:
+        t = 1 if recipe.rows == "cls" else stack.seq_len
+        rep = getattr(ac, recipe.pool)(theta(stack, kind.k, t))
+    if recipe.attends:
+        mask = stack.mask if mask is None else mask
+        rep = cls_attend(ac.slice_rows(rep, 0, 1), rep, params, mask, kind.num_heads)
+    return rep
 
 
 def classify(rep: Array, w_cls: Array, b_cls: Array) -> Array:
@@ -284,20 +250,5 @@ def classify(rep: Array, w_cls: Array, b_cls: Array) -> Array:
 
 def head_forward(kind: HeadKind, stack: LayerStack, params: HeadParams,
                  mask: np.ndarray | None = None) -> Array:
-    """Compose the kind-specific aggregation with the linear classifier."""
-    if kind.uses_attention and params.wq is None:
-        raise ConfigurationError(
-            f"head '{kind.spec()}' needs attention projections but params carry none")
-    if kind.kind == "baseline":
-        rep = head_baseline(stack)
-    elif kind.kind == "maxcls":
-        rep = head_max_cls(stack, kind.k)
-    elif kind.kind == "mha":
-        rep = head_mha(stack, params, mask, kind.num_heads)
-    elif kind.kind == "maxseq+mha":
-        rep = head_max_seq_mha(stack, kind.k, params, mask, kind.num_heads)
-    elif kind.kind == "meanseq+mha":
-        rep = head_mean_seq_mha(stack, kind.k, params, mask, kind.num_heads)
-    else:
-        rep = head_norm_select_seq_mha(stack, kind.k, params, mask, kind.num_heads)
-    return classify(rep, params.w_cls, params.b_cls)
+    """Logits of one head: its aggregate, then the linear classifier."""
+    return classify(aggregate(kind, stack, params, mask), params.w_cls, params.b_cls)

@@ -300,6 +300,11 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],
             lr = lr_at_step(global_step, total_steps, cfg)
             adamw_step(named, opt, lr, cfg.weight_decay)
             global_step += 1
+    # the loss check above runs before each update, so none sees the last one
+    diverged = [name for name, p in named if not np.all(np.isfinite(p.data))]
+    if diverged:
+        raise TrainingError(f"non-finite values in {len(diverged)} of {len(named)} "
+                            f"parameters after training (first: '{diverged[0]}')")
 
     eval_metrics = evaluate(model, eval_set)
     train_metrics = evaluate(model, train_set)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -212,14 +213,6 @@ class TestSmallOps:
     def test_gelu_zero(self):
         assert ac.gelu(array([0.0])).data[0] == 0.0
 
-    def test_concat_shape_contract(self):
-        parts = [ac.zeros((1, 4)) for _ in range(4)]
-        assert ac.concat_lastaxis(parts).shape == (1, 16)
-
-    def test_transpose_involution(self):
-        x = np.random.default_rng(8).normal(size=(3, 5))
-        assert np.array_equal(ac.transpose(ac.transpose(array(x))).data, x)
-
     def test_add_shape_error(self):
         with pytest.raises(ShapeError):
             ac.add(ac.zeros((2, 2)), ac.zeros((2, 3)))
@@ -230,12 +223,6 @@ class TestSmallOps:
         assert out.data.tolist() == [[1, 1], [0, 0], [1, 1]]
         backward(out, seed=np.ones((3, 2)))
         assert x.grad.tolist() == [[1, 1], [0, 0], [1, 1]]
-
-    def test_mask_scores_penalty(self):
-        s = array(np.zeros((1, 3)))
-        out = ac.mask_scores(s, np.array([1.0, 0.0, 1.0]))
-        assert out.data[0, 1] == ac.MASK_PENALTY
-        assert out.data[0, 0] == 0.0
 
     def test_embed_lookup_scatter(self):
         table = array(np.arange(8.0).reshape(4, 2))
@@ -252,9 +239,65 @@ class TestSmallOps:
         ac.set_debug_checks(True)
         try:
             with pytest.raises(ac.EvaluationError):
-                ac.scale(array([np.inf]), 1.0)
+                ac.add(array([np.inf]), array([0.0]))
         finally:
             ac.set_debug_checks(False)
+
+
+def attention_loop_oracle(q, k, v, mask, h):
+    """Per-head loop over contiguous column blocks: scale, mask, softmax, mix."""
+    dh = q.shape[-1] // h
+    penalty = ((1.0 - mask) * ac.MASK_PENALTY)[..., None, :].astype(q.dtype)
+    heads, weights = [], []
+    for s in range(h):
+        block = slice(s * dh, (s + 1) * dh)
+        qs, ks, vs = (x[..., block].copy() for x in (q, k, v))
+        scores = (qs @ np.swapaxes(ks, -1, -2)) * (1.0 / math.sqrt(dh)) + penalty
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        weights.append(p)
+        heads.append(p @ vs)
+    return np.concatenate(heads, axis=-1), weights
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lead,tq,t,h", [((), 3, 3, 1), ((), 1, 5, 2),
+                                             ((3,), 4, 4, 4), ((2,), 1, 6, 2)])
+    def test_matches_per_head_loop_bitwise(self, dtype, lead, tq, t, h):
+        rng = np.random.default_rng(31)
+        q = rng.normal(size=lead + (tq, 8)).astype(dtype)
+        k, v = (rng.normal(size=lead + (t, 8)).astype(dtype) for _ in range(2))
+        mask = np.ones(lead + (t,))
+        mask[..., -1] = 0.0
+        probs = []
+        out = ac.attention(array(q, dtype), array(k, dtype), array(v, dtype), mask, h,
+                           probs_out=probs)
+        want, weights = attention_loop_oracle(q, k, v, mask, h)
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, want)
+        for s in range(h):
+            assert np.array_equal(probs[0][..., s, :, :], weights[s])
+
+    def test_masked_key_gets_zero_weight(self):
+        rng = np.random.default_rng(32)
+        q, k, v = (array(rng.normal(size=(3, 4))) for _ in range(3))
+        mask = np.array([1.0, 0.0, 1.0])
+        probs = []
+        out = ac.attention(q, k, v, mask, 2, probs_out=probs)
+        assert np.all(probs[0][..., 1] == 0.0)
+        assert np.allclose(probs[0].sum(axis=-1), 1.0, atol=1e-12)
+        k.data[1], v.data[1] = rng.normal(size=4), rng.normal(size=4)
+        assert np.array_equal(ac.attention(q, k, v, mask, 2).data, out.data)
+
+    def test_shape_errors(self):
+        x = ac.zeros((3, 4))
+        with pytest.raises(ShapeError):
+            ac.attention(x, x, x, np.ones(3), 3)
+        with pytest.raises(ShapeError):
+            ac.attention(x, x, x, np.ones(4), 2)
+        with pytest.raises(ShapeError):
+            ac.attention(x, ac.zeros((3, 2)), x, np.ones(3), 1)
 
 
 class TestLosses:
@@ -295,11 +338,12 @@ class TestGradCheck:
         rng = np.random.default_rng(9)
         w = array(rng.normal(size=(4, 3)))
         x = array(rng.normal(size=(2, 4)))
+        first_column = array([[1.0], [0.0], [0.0]])
 
         def f():
             # keep one softmax column so the scalar is not identically constant
             probs = ac.softmax_lastaxis(ac.matmul(x, w))
-            return ac.sum_all(ac.slice_lastaxis(probs, 0, 1))
+            return ac.sum_all(ac.matmul(probs, first_column))
 
         assert grad_check(f, [x, w], step=1e-5) < 1e-6
 
@@ -316,26 +360,32 @@ class TestGradCheck:
         x = array([1.0])
 
         def f():
-            return ac.scale(x, np.inf)
+            return ac.add(x, array([np.inf]))
 
         with pytest.raises(ac.EvaluationError):
             grad_check(f, [x])
 
 
 def _random_op_cases(rng):
-    """One (f, params) gradient-check case per differentiable op, random shapes."""
+    """One (f, params, op) gradient-check case per differentiable op, random shapes.
+
+    f is a random linear functional of the op's output, so the gradient of
+    every output element is checked (a plain sum would hide errors in softmax,
+    whose rows always sum to one); op names the op that made the output.
+    """
     t = int(rng.integers(2, 5))
     d = int(rng.integers(2, 5))
     k = int(rng.integers(1, 4))
     w = array(rng.normal(size=(t, d)).tolist())
 
     def wrap(out_fn, params):
-        weights = rng.normal(size=1).item()
+        out = out_fn()
+        weights = array(rng.normal(size=(out.size, 1)))
 
         def f():
-            return ac.scale(ac.sum_all(out_fn()), weights)
+            return ac.sum_all(ac.matmul(ac.reshape(out_fn(), (1, out.size)), weights))
 
-        return f, params
+        return f, params, out.node.op
 
     x = array(rng.normal(size=(t, d)))
     y = array(rng.normal(size=(t, d)))
@@ -347,24 +397,40 @@ def _random_op_cases(rng):
     row_mask = (rng.random(t) > 0.3).astype(float)
     ce_labels = rng.integers(0, d, size=t)
     se_targets = rng.normal(size=t * d)
+    table = array(rng.normal(size=(t + 2, d)))
+    ids = rng.integers(0, t + 2, size=(2, t))
+    dropout_seed = int(rng.integers(1 << 30))
+    # attention: h heads of width dh; the last key of the self-attention case
+    # is masked, and the single-query case runs two heads over a batch of two
+    h = int(rng.integers(1, 3))
+    dh = int(rng.integers(1, 3))
+    aq, ak, av = (array(rng.normal(size=(t, h * dh))) for _ in range(3))
+    key_mask = np.ones(t)
+    key_mask[-1] = 0.0
+    q1 = array(rng.normal(size=(2, 1, 4)))
+    bk, bv = (array(rng.normal(size=(2, t, 4))) for _ in range(2))
+    batch_mask = (rng.random((2, t)) > 0.3).astype(float)
+    batch_mask[:, 0] = 1.0
     cases = [
         wrap(lambda: ac.matmul(x, m), [x, m]),
         wrap(lambda: ac.add(x, y), [x, y]),
         wrap(lambda: ac.add_vec(x, v), [x, v]),
-        wrap(lambda: ac.scale(x, 1.7), [x]),
-        wrap(lambda: ac.transpose(x), [x]),
+        wrap(lambda: ac.sum_all(x), [x]),
         wrap(lambda: ac.reshape(x, (d, t)), [x]),
-        wrap(lambda: ac.concat_lastaxis([x, y]), [x, y]),
-        wrap(lambda: ac.slice_lastaxis(x, 0, max(1, d - 1)), [x]),
         wrap(lambda: ac.slice_rows(x, 0, max(1, t - 1)), [x]),
         wrap(lambda: ac.stack_axis0([x, y]), [x, y]),
-        wrap(lambda: ac.slice_lastaxis(ac.softmax_lastaxis(x), 0, 1), [x]),
+        wrap(lambda: ac.softmax_lastaxis(x), [x]),
         wrap(lambda: ac.max_over_axis0(theta), [theta]),
         wrap(lambda: ac.mean_over_axis0(theta), [theta]),
         wrap(lambda: ac.select_max_norm_axis0(theta), [theta]),
         wrap(lambda: ac.layer_norm(x, gain, bias), [x, gain, bias]),
         wrap(lambda: ac.gelu(x), [x]),
+        wrap(lambda: ac.dropout(x, 0.3, np.random.default_rng(dropout_seed)), [x]),
         wrap(lambda: ac.mask_rows(x, row_mask), [x]),
+        wrap(lambda: ac.attention(aq, ak, av, key_mask, h), [aq, ak, av]),
+        wrap(lambda: ac.attention(q1, bk, bv, batch_mask, 2), [q1, bk, bv]),
+        wrap(lambda: ac.attention(bk, bk, bv, batch_mask, 2), [bk, bv]),
+        wrap(lambda: ac.embed_lookup(table, ids), [table]),
         wrap(lambda: ac.cross_entropy_mean(x, ce_labels), [x]),
         wrap(lambda: ac.squared_error_mean(x, se_targets), [x]),
     ]
@@ -377,10 +443,21 @@ def test_all_ops_match_finite_differences():
     rng = np.random.default_rng(1234)
     checked = 0
     while checked < 100:
-        for f, params in _random_op_cases(rng):
+        for f, params, op in _random_op_cases(rng):
             err = grad_check(f, params, step=1e-5)
-            assert err < 1e-6, f"op case failed with rel err {err}"
+            assert err < 1e-6, f"{op} case failed with rel err {err}"
             checked += 1
+
+
+# arraycore's public functions that record no tape node
+NOT_OPS = {"array", "zeros", "backward", "set_debug_checks", "grad_check"}
+
+
+def test_op_cases_cover_every_op():
+    ops = {name for name in ac.__all__
+           if inspect.isfunction(getattr(ac, name)) and name not in NOT_OPS}
+    covered = {op for _, _, op in _random_op_cases(np.random.default_rng(0))}
+    assert ops <= covered, f"ops without a finite-difference case: {ops - covered}"
 
 
 def test_tape_visits_each_node_once():

@@ -38,6 +38,11 @@ class TestExitCodes:
         assert run_cli("ablate-k", "--task", "pattern", *TINY,
                        "--k", "12", "--out", str(tmp_path)) == 2
 
+    def test_ablate_pool_must_take_k_and_h(self, tmp_path):
+        for pool in ("maxcls", "mha", "fancy"):
+            assert run_cli("ablate-k", "--task", "pattern", *TINY, "--pool", pool,
+                           "--out", str(tmp_path)) == 2
+
     def test_zero_lowres_size(self, tmp_path):
         assert run_cli("lowres", "--task", "pattern", *TINY,
                        "--head", "baseline", "--head", "mha:h=2",
@@ -150,6 +155,58 @@ class TestAblateAndLowres:
         assert lines[0] == "size,head,metric,mean,std,delta"
         sizes = {line.split(",")[0] for line in lines[1:]}
         assert sizes == {"24", "full"}
+
+
+# every run diverges in its one and only update
+DIVERGING = ["--task", "pattern", "--train-size", "16", "--eval-size", "8",
+             "--seq-len", "6", "--epochs", "1", "--lr", "1e38", "--seed", "1"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestFailureRule:
+    @pytest.mark.parametrize("command,args,runs", [
+        ("compare", ["--head", "baseline", "--head", "mha:h=4"], 2),
+        ("ablate-k", ["--k", "1", "--k", "2"], 2),
+        ("lowres", ["--head", "baseline", "--head", "mha:h=4", "--size", "8",
+                    "--size", "full"], 4),
+    ])
+    def test_diverged_runs_exit_1_and_are_named(self, tmp_path, capsys, command,
+                                                args, runs):
+        rc = run_cli(command, *DIVERGING, *args, "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 1
+        failed = [line for line in err.splitlines() if line.startswith("run failed:")]
+        assert len(failed) == runs
+        assert all("non-finite values in" in line for line in failed)
+
+    def test_ablate_partial_failure_prints_na(self, tmp_path, monkeypatch, capsys):
+        import clspool.cli as cli
+        real_train = cli.train
+
+        def flaky(cfg, tr, ev, **kw):
+            if cfg.head.k == 2:
+                raise cli.TrainingError("injected divergence")
+            return real_train(cfg, tr, ev, **kw)
+
+        monkeypatch.setattr(cli, "train", flaky)
+        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--heads", "2",
+                     "--k", "1", "--k", "2", "--seed", "1", "--out", str(tmp_path))
+        assert rc == 1
+        rows = (tmp_path / "ablate_k.txt").read_text().splitlines()
+        assert "n/a" not in rows[1] and rows[1].startswith("k = 1")
+        assert rows[2].startswith("k = 2") and rows[2].split()[3:] == ["n/a"] * 3
+        assert "head=maxseq+mha:k=2,h=2 seed=1: injected divergence" \
+            in capsys.readouterr().err
+
+
+def test_report_bytes_do_not_depend_on_jobs(tmp_path):
+    argv = ["compare", "--task", "pattern", *TINY, "--head", "baseline",
+            "--head", "mha:h=2", "--seed", "1", "--seed", "2"]
+    assert run_cli(*argv, "--jobs", "1", "--out", str(tmp_path / "serial")) == 0
+    assert run_cli(*argv, "--jobs", "2", "--out", str(tmp_path / "pool")) == 0
+    for name in ("compare.txt", "stddev.txt", "compare.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() \
+            == (tmp_path / "pool" / name).read_bytes()
 
 
 class TestGradcheckCommand:

@@ -11,15 +11,10 @@ from clspool.heads import (
     HeadKind,
     HeadParams,
     SliceError,
+    aggregate,
     classify,
     cls_attend,
-    head_baseline,
     head_forward,
-    head_max_cls,
-    head_max_seq_mha,
-    head_mean_seq_mha,
-    head_mha,
-    head_norm_select_seq_mha,
     init_head_params,
     parse_head_spec,
     theta,
@@ -35,6 +30,14 @@ def random_stack(rng, n_layers=4, seq=5, d=8, mask=None):
 
 def make_params(rng, d=8, n_classes=2, num_heads=2):
     return init_head_params(HeadKind("mha", num_heads=num_heads), d, n_classes, rng)
+
+
+NO_ATTENTION = HeadParams(w_cls=Array(np.zeros((8, 2))), b_cls=Array(np.zeros(2)))
+
+
+def rep(spec, stack, params=NO_ATTENTION, mask=None):
+    """The representation head `spec` hands to its classifier."""
+    return aggregate(parse_head_spec(spec), stack, params, mask)
 
 
 def mha_head_oracle(query, context, params, mask, h):
@@ -98,39 +101,39 @@ class TestTheta:
 class TestBaselineAndMaxCls:
     def test_baseline_is_last_cls(self):
         stack = random_stack(np.random.default_rng(5))
-        assert np.array_equal(head_baseline(stack).data,
+        assert np.array_equal(rep("baseline", stack).data,
                               stack.activations[-1].data[0:1])
 
     def test_baseline_equals_theta11(self):
         stack = random_stack(np.random.default_rng(6))
-        assert np.array_equal(head_baseline(stack).data, theta(stack, 1, 1).data[0])
+        assert np.array_equal(rep("baseline", stack).data, theta(stack, 1, 1).data[0])
 
     def test_single_layer_stack(self):
         stack = random_stack(np.random.default_rng(7), n_layers=1)
-        assert np.array_equal(head_baseline(stack).data,
+        assert np.array_equal(rep("baseline", stack).data,
                               stack.activations[0].data[0:1])
 
     def test_maxcls_k1_equals_baseline(self):
         stack = random_stack(np.random.default_rng(8))
-        assert np.array_equal(head_max_cls(stack, 1).data, head_baseline(stack).data)
+        assert np.array_equal(rep("maxcls:k=1", stack).data, rep("baseline", stack).data)
 
     def test_maxcls_fixed_example(self):
         acts = [Array(np.array([[1.0, -2.0]])), Array(np.array([[0.0, 4.0]])),
                 Array(np.array([[-1.0, 3.0]]))]
         stack = LayerStack(activations=acts, mask=np.ones(1))
-        assert head_max_cls(stack, 3).data.tolist() == [[1.0, 4.0]]
+        assert rep("maxcls:k=3", stack).data.tolist() == [[1.0, 4.0]]
 
     def test_maxcls_idempotent_on_equal_layers(self):
         v = np.random.default_rng(9).normal(size=(1, 8))
         acts = [Array(v.copy()) for _ in range(3)]
         stack = LayerStack(activations=acts, mask=np.ones(1))
-        assert np.array_equal(head_max_cls(stack, 3).data, v)
+        assert np.array_equal(rep("maxcls:k=3", stack).data, v)
 
     def test_maxcls_dominates_every_layer(self):
         stack = random_stack(np.random.default_rng(10))
-        rep = head_max_cls(stack, 4).data
+        pooled = rep("maxcls:k=4", stack).data
         for y in stack.activations:
-            assert np.all(rep >= y.data[0:1])
+            assert np.all(pooled >= y.data[0:1])
 
     def test_maxcls_positive_homogeneity(self):
         rng = np.random.default_rng(11)
@@ -139,8 +142,8 @@ class TestBaselineAndMaxCls:
             scaled = LayerStack(
                 activations=[Array(c * y.data) for y in stack.activations],
                 mask=stack.mask)
-            assert np.array_equal(head_max_cls(scaled, 3).data,
-                                  c * head_max_cls(stack, 3).data)
+            assert np.array_equal(rep("maxcls:k=3", scaled).data,
+                                  c * rep("maxcls:k=3", stack).data)
 
 
 class TestClsAttend:
@@ -211,7 +214,7 @@ class TestMhaHeads:
         rng = np.random.default_rng(15)
         stack = random_stack(rng, d=8)
         params = make_params(rng, d=8)
-        got = head_mha(stack, params, num_heads=2)
+        got = rep("mha:h=2", stack, params)
         want = mha_head_oracle(stack.activations[-1].data[0:1],
                                stack.activations[-1].data, params,
                                stack.mask, h=2)
@@ -221,28 +224,28 @@ class TestMhaHeads:
         rng = np.random.default_rng(16)
         stack = random_stack(rng, d=8)
         params = make_params(rng, d=8)
-        masked = head_mha(stack, params, mask=np.array([1.0, 0, 0, 0, 0]), num_heads=2)
+        masked = rep("mha:h=2", stack, params, mask=np.array([1.0, 0, 0, 0, 0]))
         solo_stack = LayerStack(
             activations=[ac.slice_rows(y, 0, 1) for y in stack.activations],
             mask=np.ones(1))
-        solo = head_mha(solo_stack, params, num_heads=2)
+        solo = rep("mha:h=2", solo_stack, params)
         assert np.allclose(masked.data, solo.data, atol=1e-12)
 
     def test_maxseq_k1_is_mha_bitwise(self):
         rng = np.random.default_rng(17)
         stack = random_stack(rng, d=8)
         params = make_params(rng, d=8)
-        a = head_max_seq_mha(stack, 1, params, num_heads=2)
-        b = head_mha(stack, params, num_heads=2)
+        a = rep("maxseq+mha:k=1,h=2", stack, params)
+        b = rep("mha:h=2", stack, params)
         assert np.array_equal(a.data, b.data)
 
     def test_meanseq_and_normseq_k1_are_mha_bitwise(self):
         rng = np.random.default_rng(18)
         stack = random_stack(rng, d=8)
         params = make_params(rng, d=8)
-        want = head_mha(stack, params, num_heads=2).data
-        assert np.array_equal(head_mean_seq_mha(stack, 1, params, num_heads=2).data, want)
-        assert np.array_equal(head_norm_select_seq_mha(stack, 1, params, num_heads=2).data, want)
+        want = rep("mha:h=2", stack, params).data
+        assert np.array_equal(rep("meanseq+mha:k=1,h=2", stack, params).data, want)
+        assert np.array_equal(rep("normseq+mha:k=1,h=2", stack, params).data, want)
 
     def test_maxseq_dominant_layer_collapses_to_mha(self):
         rng = np.random.default_rng(19)
@@ -252,9 +255,9 @@ class TestMhaHeads:
         acts.append(Array(dominant.copy()))
         stack = LayerStack(activations=acts, mask=np.ones(5))
         params = make_params(rng, d=8)
-        pooled_out = head_max_seq_mha(stack, 4, params, num_heads=2)
+        pooled_out = rep("maxseq+mha:k=4,h=2", stack, params)
         alone = LayerStack(activations=[Array(dominant.copy())], mask=np.ones(5))
-        assert np.array_equal(pooled_out.data, head_mha(alone, params, num_heads=2).data)
+        assert np.array_equal(pooled_out.data, rep("mha:h=2", alone, params).data)
 
     def test_maxseq_pool_dominates_layers(self):
         rng = np.random.default_rng(20)

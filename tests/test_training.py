@@ -186,6 +186,14 @@ class TestTrainLoop:
         with pytest.raises(TrainingError):
             train(small_cfg(), [], [])
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_in_the_last_update_raises(self):
+        # one step: no loss is ever computed after the update that overflows
+        train_set, eval_set = small_task(train_size=16, eval_size=8)
+        cfg = small_cfg(lr=1e38, epochs=1, batch_size=32)
+        with pytest.raises(TrainingError, match="non-finite values in"):
+            train(cfg, train_set, eval_set)
+
     def test_regression_task_trains_and_reports_spearman(self):
         spec = SyntheticTaskSpec(kind="pair_similarity", vocab_size=30,
                                  seq_len=(8, 10), train_size=60, eval_size=20,
