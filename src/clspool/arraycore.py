@@ -6,7 +6,7 @@ Calling :func:`backward` on a scalar result traces the graph into a
 topologically ordered :class:`Tape` and accumulates gradients into the leaves.
 
 Shapes follow the row-major convention throughout. Ops that the model uses in
-batched form (matmul, softmax, layer_norm, ...) accept extra leading axes; the
+batched form (matmul, attention, layer_norm, ...) accept extra leading axes; the
 layer axis of a pooled stack is always axis 0.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "reshape",
     "slice_rows",
     "stack_axis0",
-    "softmax_lastaxis",
     "max_over_axis0",
     "mean_over_axis0",
     "select_max_norm_axis0",
@@ -285,19 +284,6 @@ def stack_axis0(parts: Sequence[Array]) -> Array:
 # ---------------------------------------------------------------------------
 # nonlinear ops
 # ---------------------------------------------------------------------------
-
-def softmax_lastaxis(x: Array) -> Array:
-    """Stable softmax along the last axis (max-subtracted)."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
-
-    return _make("softmax_lastaxis", y, (x,), bwd)
-
 
 def max_over_axis0(theta: Array) -> Array:
     """Element-wise max over the layer axis (axis 0).

@@ -23,9 +23,9 @@ import csv
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 from io import StringIO
 from pathlib import Path
 
@@ -47,6 +47,7 @@ from .training import (
     Model,
     TrainConfig,
     TrainingError,
+    TrainResult,
     build_model,
     evaluate,
     model_from_checkpoint,
@@ -62,6 +63,8 @@ METRIC_LABELS = {"accuracy": "Acc.", "f1": "F1", "mcc": "MCC", "spearman": "Sp."
 
 GRADCHECK_TOLERANCE = {64: 1e-4, 32: 1e-2}
 
+BASELINE = "baseline"   # the head every Delta is measured against
+
 
 class CliError(Exception):
     """Usage-level problem; maps to exit code 2."""
@@ -71,22 +74,30 @@ class CliError(Exception):
 class RunReport:
     """Aggregate of one head across seeds, plus its gap to the baseline head."""
 
-    task: str
     head_spec: str
-    per_seed: dict[str, list[float]]            # metric -> values in seed order
     aggregates: dict[str, SeedAggregate]
     delta: dict[str, float] = field(default_factory=dict)
-    wall_time_s: float = 0.0
 
 
 @dataclass
 class ExperimentConfig:
-    task: str | None = None
-    data: str | None = None
-    eval_data: str | None = None
-    vocab: str | None = None
-    heads: list[str] = field(default_factory=lambda: ["baseline"])
-    seeds: list[int] = field(default_factory=lambda: [0])
+    """Every setting of a run or grid, and the only place one is named.
+
+    Each field is a config-file key and a flag (``_`` becomes ``-``). The list
+    fields take a repeatable singular flag (``--head``, ``--seed``) and a comma
+    list in config files.
+    """
+
+    task: str | None = field(default=None, metadata={
+        "help": "synthetic task: " + ", ".join(sorted(TASK_PRESETS))})
+    data: str | None = field(default=None, metadata={"help": "training set JSONL"})
+    eval_data: str | None = field(default=None, metadata={"help": "evaluation set JSONL"})
+    vocab: str | None = field(default=None, metadata={
+        "help": "vocabulary file (one token per line)"})
+    heads: list[str] = field(default_factory=lambda: ["baseline"],
+                             metadata={"help": "head spec, repeatable"})
+    seeds: list[int] = field(default_factory=lambda: [0],
+                             metadata={"help": "run seed, repeatable"})
     epochs: int = 4
     lr: float = 2e-5
     batch_size: int = 32
@@ -102,84 +113,62 @@ class ExperimentConfig:
     d_model: int = 32
     enc_heads: int = 4
     max_seq_len: int = 64
-    out: str = "runs"
-    jobs: int = 1
+    out: str = field(default="runs", metadata={"help": "output directory"})
+    jobs: int = field(default=1, metadata={"help": "parallel (head, seed) workers"})
+
+
+# field annotation (a string under postponed evaluation) -> (converter, whether
+# the field collects several values)
+_CONVERTERS = {"str | None": (str, False), "str": (str, False), "int": (int, False),
+               "float": (float, False), "list[str]": (str, True), "list[int]": (int, True)}
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
-    exp = ExperimentConfig()
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in file_values.items():
-        _apply_config_entry(exp, key, value)
-    overrides = {
-        "task": args.task, "data": args.data,
-        "eval_data": getattr(args, "eval_data", None),
-        "vocab": getattr(args, "vocab", None),
-        "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-        "warmup_ratio": args.warmup_ratio, "weight_decay": args.weight_decay,
-        "dropout": getattr(args, "dropout", None),
-        "train_size": getattr(args, "train_size", None),
-        "eval_size": getattr(args, "eval_size", None),
-        "vocab_size": getattr(args, "vocab_size", None),
-        "seq_len": getattr(args, "seq_len", None),
-        "data_seed": getattr(args, "data_seed", None),
-        "num_layers": getattr(args, "num_layers", None),
-        "d_model": getattr(args, "d_model", None),
-        "enc_heads": getattr(args, "enc_heads", None),
-        "out": args.out, "jobs": getattr(args, "jobs", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(exp, key, value)
-    if getattr(args, "head", None):
-        exp.heads = list(args.head)
-    if getattr(args, "seed", None):
-        exp.seeds = list(args.seed)
-    elif "seeds" not in file_values and os.environ.get("CLSPOOL_SEED"):
-        exp.seeds = [int(os.environ["CLSPOOL_SEED"])]
-    return exp
+    """Defaults, then config-file values, then flags; CLSPOOL_SEED stands in
+    for seeds that neither the file nor a flag gives."""
+    values = _read_config_file(args.config) if args.config else {}
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    if "seeds" not in values and os.environ.get("CLSPOOL_SEED"):
+        values["seeds"] = [int(os.environ["CLSPOOL_SEED"])]
+    return ExperimentConfig(**values)
 
 
-_INT_KEYS = {"epochs", "batch_size", "train_size", "eval_size", "vocab_size",
-             "seq_len", "data_seed", "num_layers", "d_model", "enc_heads",
-             "max_seq_len", "jobs"}
-_FLOAT_KEYS = {"lr", "warmup_ratio", "weight_decay", "dropout"}
-
-
-def _apply_config_entry(exp: ExperimentConfig, key: str, value: str) -> None:
-    if key == "heads":
-        exp.heads = [h.strip() for h in value.split(",") if h.strip()]
-    elif key == "seeds":
-        exp.seeds = [int(s) for s in value.split(",")]
-    elif key in _INT_KEYS:
-        setattr(exp, key, int(value))
-    elif key in _FLOAT_KEYS:
-        setattr(exp, key, float(value))
-    elif key in ("task", "data", "eval_data", "vocab", "out"):
-        setattr(exp, key, value)
-    else:
-        raise CliError(f"config file: unknown key '{key}'")
-
-
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str) -> dict:
+    """ExperimentConfig values from flat key=value lines (comma lists for the
+    list fields)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise CliError(f"cannot read config file: {err}")
+    by_name = {f.name: f for f in fields(ExperimentConfig)}
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, raw = line.partition("=")
         if not sep:
             raise CliError(f"config file line {line_no}: expected key=value")
-        values[key.strip()] = value.strip()
+        key, raw = key.strip(), raw.strip()
+        if key not in by_name:
+            raise CliError(f"config file: unknown key '{key}'")
+        convert, many = _CONVERTERS[by_name[key].type]
+        value = [convert(v.strip()) for v in raw.split(",") if v.strip()] if many \
+            else convert(raw)
+        if value == []:
+            raise CliError(f"config file: '{key}' needs at least one value")
+        values[key] = value
     return values
 
 
 def _load_datasets(exp: ExperimentConfig):
-    """Returns (train_set, eval_set, task_name, loss_kind)."""
+    """Returns (train_set, eval_set, task_name, loss_kind).
+
+    File data widens exp.vocab_size to cover the vocabulary file and every
+    token id it holds.
+    """
     if exp.task:
         if exp.task not in TASK_PRESETS:
             raise CliError(f"unknown task '{exp.task}'; choose from: "
@@ -198,6 +187,8 @@ def _load_datasets(exp: ExperimentConfig):
         if not exp.eval_data:
             raise CliError("--data also needs --eval-data")
         eval_set = load_jsonl(exp.eval_data, vocab, max_len=exp.max_seq_len)
+        largest_id = max((i for ex in train_set + eval_set for i in ex.token_ids), default=0)
+        exp.vocab_size = max(exp.vocab_size, vocab.size if vocab else 0, largest_id + 1)
         labels_int = all(isinstance(ex.label, int) for ex in train_set + eval_set)
         loss = "cross_entropy" if labels_int else "squared_error"
         return train_set, eval_set, Path(exp.data).stem, loss
@@ -223,68 +214,50 @@ def _slug(head_spec: str) -> str:
     return "".join(ch if ch.isalnum() else "-" for ch in head_spec)
 
 
-def _run_one(exp: ExperimentConfig, head_spec: str, seed: int,
-             train_set, eval_set, task: str, loss: str) -> dict:
+def _run_record(task: str, head_spec: str, seed: int, result: TrainResult) -> dict:
+    return {"task": task, "head": head_spec, "seed": seed,
+            "metrics": result.eval_metrics, "train_metrics": result.train_metrics,
+            "final_loss": result.final_loss, "n_train": result.n_train,
+            "n_eval": result.n_eval, "wall_time_s": result.wall_time_s}
+
+
+def _run_cell(cell) -> dict:
+    """One (head, seed) run of a grid on data it loads itself, so that every
+    --jobs value runs the same code. A diverged run becomes an error record."""
+    exp, head_spec, seed, subsample_n = cell
+    train_set, eval_set, task, loss = _load_datasets(exp)
+    if subsample_n is not None:
+        train_set = subsample(train_set, subsample_n, exp.data_seed)
     cfg = _train_config(exp, head_spec, seed, loss)
     try:
         _, result = train(cfg, train_set, eval_set)
     except TrainingError as err:
-        # grid commands mark the failed cell and keep going
         return {"task": task, "head": head_spec, "seed": seed,
                 "metrics": {}, "error": str(err), "wall_time_s": 0.0}
-    return {
-        "task": task,
-        "head": head_spec,
-        "seed": seed,
-        "metrics": result.eval_metrics,
-        "train_metrics": result.train_metrics,
-        "final_loss": result.final_loss,
-        "n_train": result.n_train,
-        "n_eval": result.n_eval,
-        "wall_time_s": result.wall_time_s,
-    }
-
-
-def _grid_worker(payload) -> dict:
-    exp_dict, head_spec, seed, subsample_n = payload
-    exp = ExperimentConfig(**exp_dict)
-    train_set, eval_set, task, loss = _load_datasets(exp)
-    if subsample_n is not None:
-        train_set = subsample(train_set, subsample_n, exp.data_seed)
-    return _run_one(exp, head_spec, seed, train_set, eval_set, task, loss)
+    return _run_record(task, head_spec, seed, result)
 
 
 def _run_grid(exp: ExperimentConfig, heads: list[str], seeds: list[int],
               out_dir: Path, subsample_n: int | None = None) -> list[dict]:
-    """All (head, seed) runs, assembled in deterministic order."""
+    """All (head, seed) runs in deterministic order; each run's JSON is
+    written as soon as that run is back."""
     for spec in heads:
         _train_config(exp, spec, 0, "cross_entropy")  # validate before any run
-    pairs = [(spec, seed) for spec in heads for seed in seeds]
+    cells = [(exp, spec, seed, subsample_n) for spec in heads for seed in seeds]
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-
-    def persist(record: dict) -> dict:
-        name = f"{_slug(record['head'])}__seed{record['seed']}.json"
-        (runs_dir / name).write_text(json.dumps(record, indent=2, sort_keys=True),
-                                     encoding="utf-8")
-        return record
-
-    if exp.jobs > 1:
-        payloads = [(exp.__dict__.copy(), spec, seed, subsample_n)
-                    for spec, seed in pairs]
-        with ProcessPoolExecutor(max_workers=exp.jobs) as pool:
-            records = [persist(r) for r in pool.map(_grid_worker, payloads)]
-    else:
-        train_set, eval_set, task, loss = _load_datasets(exp)
-        if subsample_n is not None:
-            train_set = subsample(train_set, subsample_n, exp.data_seed)
-        records = [persist(_run_one(exp, spec, seed, train_set, eval_set, task, loss))
-                   for spec, seed in pairs]
+    records = []
+    parallel = exp.jobs > 1
+    with ProcessPoolExecutor(max_workers=exp.jobs) if parallel else nullcontext() as pool:
+        for record in (pool.map if parallel else map)(_run_cell, cells):
+            name = f"{_slug(record['head'])}__seed{record['seed']}.json"
+            (runs_dir / name).write_text(json.dumps(record, indent=2, sort_keys=True),
+                                         encoding="utf-8")
+            records.append(record)
     return records
 
 
-def build_reports(records: list[dict], heads: list[str],
-                  baseline_spec: str = "baseline") -> list[RunReport]:
+def build_reports(records: list[dict], heads: list[str]) -> list[RunReport]:
     """Fold per-run records into per-head RunReports with baseline deltas.
 
     Failed runs (records carrying an "error" key) contribute no values; a head
@@ -294,7 +267,7 @@ def build_reports(records: list[dict], heads: list[str],
     for spec in heads:
         rows = [r for r in records if r["head"] == spec and "error" not in r]
         rows.sort(key=lambda r: r["seed"])
-        per_seed: dict[str, list[float]] = {}
+        per_seed: dict[str, list[float]] = {}   # metric -> values in seed order
         for row in rows:
             for metric, value in row["metrics"].items():
                 EvalResult(metric, value, row.get("n_eval", 0))  # range check
@@ -302,14 +275,8 @@ def build_reports(records: list[dict], heads: list[str],
         aggregates = {m: aggregate_seeds(vals) if len(vals) > 1
                       else SeedAggregate(tuple(vals), vals[0], 0.0)
                       for m, vals in per_seed.items()}
-        reports.append(RunReport(
-            task=rows[0]["task"] if rows else "",
-            head_spec=spec,
-            per_seed=per_seed,
-            aggregates=aggregates,
-            wall_time_s=sum(r["wall_time_s"] for r in rows),
-        ))
-    base = next((r for r in reports if r.head_spec == baseline_spec), None)
+        reports.append(RunReport(head_spec=spec, aggregates=aggregates))
+    base = next((r for r in reports if r.head_spec == BASELINE), None)
     if base is not None:
         for report in reports:
             report.delta = {
@@ -323,42 +290,54 @@ def _metric_columns(reports: list[RunReport]) -> list[str]:
     return [m for m in METRIC_ORDER if m in present]
 
 
+def _table(corner: str, width: int, rows: list[tuple[str, dict[str, float]]],
+           cols: list[str], cell: int = 10, fmt: str = ".4f") -> str:
+    """A label column `width` wide, then one `cell`-wide column per metric;
+    `n/a` where a row has no value for the metric."""
+    lines = [corner.ljust(width) + "".join(METRIC_LABELS[m].rjust(cell) for m in cols)]
+    for label, values in rows:
+        lines.append(label.ljust(width)
+                     + "".join(format(values[m], f"{cell}{fmt}") if m in values
+                               else "n/a".rjust(cell) for m in cols))
+    return "\n".join(lines) + "\n"
+
+
+def _means(report: RunReport) -> dict[str, float]:
+    return {m: agg.mean for m, agg in report.aggregates.items()}
+
+
 def format_mean_table(reports: list[RunReport]) -> str:
     """Aligned text in the layout of the per-task results table: one row per
     head, one column per metric, final Delta row = best variant - baseline."""
     cols = _metric_columns(reports)
     width = max(len(r.head_spec) for r in reports) + 2
-    lines = ["Model".ljust(width) + "".join(METRIC_LABELS[m].rjust(10) for m in cols)]
-    for r in reports:
-        lines.append(r.head_spec.ljust(width)
-                     + "".join(f"{r.aggregates[m].mean:10.4f}" if m in r.aggregates
-                               else "n/a".rjust(10) for m in cols))
-    base = next((r for r in reports if r.head_spec == "baseline"), None)
-    variants = [r for r in reports if r.head_spec != "baseline"]
-    if base is not None and base.aggregates and variants:
-        cells = []
-        for m in cols:
-            best = max((r.aggregates[m].mean for r in variants
-                        if m in r.aggregates), default=None)
-            cells.append(f"{best - base.aggregates[m].mean:10.4f}"
-                         if best is not None and m in base.aggregates
-                         else "n/a".rjust(10))
-        lines.append("Delta".ljust(width) + "".join(cells))
+    rows = [(r.head_spec, _means(r)) for r in reports]
+    base = next((r for r in reports if r.head_spec == BASELINE), None)
+    variants = [r for r in reports if r.head_spec != BASELINE]
+    if base is None:
+        note = f"(no {BASELINE} head present; Delta row omitted)"
+    elif not variants:
+        note = "(no variant heads; Delta row omitted)"
+    elif not base.aggregates:
+        note = f"(every {BASELINE} run failed; Delta row omitted)"
     else:
-        lines.append("(no baseline head present; Delta row omitted)")
-    return "\n".join(lines) + "\n"
+        note = None
+        delta = {}
+        for m in base.aggregates:
+            best = max((r.aggregates[m].mean for r in variants if m in r.aggregates),
+                       default=None)
+            if best is not None:
+                delta[m] = best - base.aggregates[m].mean
+        rows.append(("Delta", delta))
+    return _table("Model", width, rows, cols) + (note + "\n" if note else "")
 
 
 def format_std_table(reports: list[RunReport]) -> str:
     """Seed standard deviations in the layout of the stability table."""
-    cols = _metric_columns(reports)
     width = max(len(r.head_spec) for r in reports) + 2
-    lines = ["Model".ljust(width) + "".join(METRIC_LABELS[m].rjust(12) for m in cols)]
-    for r in reports:
-        lines.append(r.head_spec.ljust(width)
-                     + "".join(f"{r.aggregates[m].std:12.2e}" if m in r.aggregates
-                               else "n/a".rjust(12) for m in cols))
-    return "\n".join(lines) + "\n"
+    rows = [(r.head_spec, {m: agg.std for m, agg in r.aggregates.items()})
+            for r in reports]
+    return _table("Model", width, rows, _metric_columns(reports), cell=12, fmt=".2e")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -412,13 +391,7 @@ def cmd_train(args) -> int:
     model, result = train(cfg, train_set, eval_set)
     stem = f"{_slug(head_spec)}__seed{seed}"
     save_checkpoint(out_dir / f"{stem}.ckpt", model, cfg)
-    record = {
-        "task": task, "head": head_spec, "seed": seed,
-        "metrics": result.eval_metrics, "train_metrics": result.train_metrics,
-        "final_loss": result.final_loss, "n_train": result.n_train,
-        "n_eval": result.n_eval, "wall_time_s": result.wall_time_s,
-        "checkpoint": f"{stem}.ckpt",
-    }
+    record = {**_run_record(task, head_spec, seed, result), "checkpoint": f"{stem}.ckpt"}
     (out_dir / f"{stem}.json").write_text(
         json.dumps(record, indent=2, sort_keys=True), encoding="utf-8")
     print(json.dumps(record["metrics"], sort_keys=True))
@@ -450,7 +423,7 @@ def cmd_ablate_k(args) -> int:
     for k in ks:
         if not 1 <= k <= exp.num_layers:
             raise CliError(f"ablate-k: k={k} outside [1, {exp.num_layers}]")
-    num_heads = args.heads or 4
+    num_heads = args.pool_heads or 4
     base = HeadKind(args.pool or "maxseq+mha")
     if not (base.uses_depth and base.uses_attention):
         raise CliError(f"ablate-k: cannot sweep k for head kind '{base.kind}'")
@@ -459,13 +432,8 @@ def cmd_ablate_k(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = _run_grid(exp, heads, exp.seeds, out_dir)
     reports = build_reports(records, heads)
-    cols = _metric_columns(reports)
-    lines = ["k".ljust(6) + "".join(METRIC_LABELS[m].rjust(10) for m in cols)]
-    for k, report in zip(ks, reports):
-        lines.append(f"k = {k}".ljust(6)
-                     + "".join(f"{report.aggregates[m].mean:10.4f}" if m in report.aggregates
-                               else "n/a".rjust(10) for m in cols))
-    table = "\n".join(lines) + "\n"
+    table = _table("k", 6, [(f"k = {k}", _means(r)) for k, r in zip(ks, reports)],
+                   _metric_columns(reports))
     (out_dir / "ablate_k.txt").write_text(table, encoding="utf-8")
     write_compare_csv(out_dir / "ablate_k.csv", reports, exp.seeds)
     print(table)
@@ -608,28 +576,15 @@ def cmd_eval(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--task", help="synthetic task: " + ", ".join(sorted(TASK_PRESETS)))
-    sub.add_argument("--data", help="training set JSONL")
-    sub.add_argument("--eval-data", dest="eval_data", help="evaluation set JSONL")
-    sub.add_argument("--vocab", help="vocabulary file (one token per line)")
-    sub.add_argument("--head", action="append", help="head spec, repeatable")
-    sub.add_argument("--seed", action="append", type=int, help="run seed, repeatable")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--warmup-ratio", dest="warmup_ratio", type=float)
-    sub.add_argument("--weight-decay", dest="weight_decay", type=float)
-    sub.add_argument("--dropout", type=float)
-    sub.add_argument("--train-size", dest="train_size", type=int)
-    sub.add_argument("--eval-size", dest="eval_size", type=int)
-    sub.add_argument("--vocab-size", dest="vocab_size", type=int)
-    sub.add_argument("--seq-len", dest="seq_len", type=int)
-    sub.add_argument("--data-seed", dest="data_seed", type=int)
-    sub.add_argument("--num-layers", dest="num_layers", type=int)
-    sub.add_argument("--d-model", dest="d_model", type=int)
-    sub.add_argument("--enc-heads", dest="enc_heads", type=int)
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--jobs", type=int, help="parallel (head, seed) workers")
+    for f in fields(ExperimentConfig):
+        convert, many = _CONVERTERS[f.type]
+        if many:
+            flag = f.name[:-1]
+            sub.add_argument(f"--{flag}", dest=f.name, metavar=flag.upper(),
+                             action="append", type=convert, help=f.metadata.get("help"))
+        else:
+            sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=convert,
+                             help=f.metadata.get("help"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -649,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl = subs.add_parser("ablate-k", help="sweep pooling depth k")
     _add_common(p_abl)
     p_abl.add_argument("--k", action="append", type=int, help="k value, repeatable")
-    p_abl.add_argument("--heads", type=int, help="attention heads in the pooled head")
+    p_abl.add_argument("--heads", dest="pool_heads", type=int,
+                       help="attention heads in the pooled head")
     p_abl.add_argument("--pool", help="pooled head kind to sweep (default maxseq+mha)")
     p_abl.set_defaults(func=cmd_ablate_k)
 

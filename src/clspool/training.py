@@ -16,8 +16,8 @@ from __future__ import annotations
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
-from math import ceil, isfinite
+from dataclasses import dataclass, field, fields
+from math import ceil, isfinite, prod
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import arraycore as ac
 from .arraycore import Array
 from .data import Example, PAD_ID
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder_params
-from .heads import HeadKind, HeadParams, head_forward, init_head_params
+from .heads import HeadKind, HeadParams, head_forward, init_head_params, parse_head_spec
 from .metrics import accuracy, f1_binary, matthews_corr, spearman_rho_flagged
 
 __all__ = [
@@ -247,9 +247,6 @@ def evaluate(model: Model, dataset: list[Example], batch_size: int = 64) -> dict
 
 @dataclass
 class TrainResult:
-    head_spec: str
-    seed: int
-    loss_kind: str
     eval_metrics: dict[str, float]
     train_metrics: dict[str, float]
     final_loss: float
@@ -285,21 +282,23 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],
     global_step = 0
     last_loss = float("nan")
 
-    for epoch in range(cfg.epochs):
-        order = rng_shuffle.permutation(len(train_set))
-        for lo in range(0, len(train_set), cfg.batch_size):
-            batch = [train_set[i] for i in order[lo:lo + cfg.batch_size]]
-            loss = _batch_loss(model, batch, cfg.loss,
-                               dropout_p=cfg.encoder.dropout, rng=rng_dropout)
-            last_loss = loss.item()
-            if not isfinite(last_loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch + 1}, step {global_step + 1}")
-            ac.backward(loss)
-            _clip_global_norm(named, CLIP_NORM)
-            lr = lr_at_step(global_step, total_steps, cfg)
-            adamw_step(named, opt, lr, cfg.weight_decay)
-            global_step += 1
+    # a diverging run overflows here; the checks below report it, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng_shuffle.permutation(len(train_set))
+            for lo in range(0, len(train_set), cfg.batch_size):
+                batch = [train_set[i] for i in order[lo:lo + cfg.batch_size]]
+                loss = _batch_loss(model, batch, cfg.loss,
+                                   dropout_p=cfg.encoder.dropout, rng=rng_dropout)
+                last_loss = loss.item()
+                if not isfinite(last_loss):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch + 1}, step {global_step + 1}")
+                ac.backward(loss)
+                _clip_global_norm(named, CLIP_NORM)
+                lr = lr_at_step(global_step, total_steps, cfg)
+                adamw_step(named, opt, lr, cfg.weight_decay)
+                global_step += 1
     # the loss check above runs before each update, so none sees the last one
     diverged = [name for name, p in named if not np.all(np.isfinite(p.data))]
     if diverged:
@@ -309,9 +308,6 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],
     eval_metrics = evaluate(model, eval_set)
     train_metrics = evaluate(model, train_set)
     result = TrainResult(
-        head_spec=cfg.head.spec(),
-        seed=cfg.seed,
-        loss_kind=cfg.loss,
         eval_metrics=eval_metrics,
         train_metrics=train_metrics,
         final_loss=last_loss,
@@ -326,57 +322,32 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],
 # checkpoints
 # ---------------------------------------------------------------------------
 
+# config text parsers, by field annotation (a string under postponed evaluation)
+_CONFIG_PARSERS = {"int": int, "int | None": int, "float": float, "str": str,
+                   "HeadKind": parse_head_spec}
+
+
 def _config_lines(cfg: TrainConfig) -> str:
-    enc = cfg.encoder
-    pairs = [
-        ("head", cfg.head.spec()),
-        ("learning_rate", repr(cfg.learning_rate)),
-        ("epochs", str(cfg.epochs)),
-        ("batch_size", str(cfg.batch_size)),
-        ("warmup_ratio", repr(cfg.warmup_ratio)),
-        ("weight_decay", repr(cfg.weight_decay)),
-        ("seed", str(cfg.seed)),
-        ("loss", cfg.loss),
-        ("encoder.vocab_size", str(enc.vocab_size)),
-        ("encoder.num_layers", str(enc.num_layers)),
-        ("encoder.d_model", str(enc.d_model)),
-        ("encoder.num_heads_encoder", str(enc.num_heads_encoder)),
-        ("encoder.d_ff", str(enc.d_ff)),
-        ("encoder.max_seq_len", str(enc.max_seq_len)),
-        ("encoder.dropout", repr(enc.dropout)),
-    ]
-    return "".join(f"{k}={v}\n" for k, v in pairs)
+    """key=value per field: TrainConfig's own fields, then encoder.<field>."""
+    pairs = [(f.name, getattr(cfg, f.name)) for f in fields(TrainConfig)
+             if f.name != "encoder"]
+    pairs += [(f"encoder.{f.name}", getattr(cfg.encoder, f.name))
+              for f in fields(EncoderConfig)]
+    return "".join(f"{key}={value.spec() if isinstance(value, HeadKind) else value}\n"
+                   for key, value in pairs)
 
 
 def _config_from_lines(text: str) -> TrainConfig:
-    from .heads import parse_head_spec
+    kv = {key: value for key, _, value in
+          (line.partition("=") for line in text.splitlines() if line)}
 
-    kv = {}
-    for line in text.splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            kv[key] = value
+    def parsed(cls, prefix=""):
+        return {f.name: _CONFIG_PARSERS[f.type](kv[prefix + f.name])
+                for f in fields(cls) if f.name != "encoder"}
+
     try:
-        enc = EncoderConfig(
-            vocab_size=int(kv["encoder.vocab_size"]),
-            num_layers=int(kv["encoder.num_layers"]),
-            d_model=int(kv["encoder.d_model"]),
-            num_heads_encoder=int(kv["encoder.num_heads_encoder"]),
-            d_ff=int(kv["encoder.d_ff"]),
-            max_seq_len=int(kv["encoder.max_seq_len"]),
-            dropout=float(kv["encoder.dropout"]),
-        )
-        return TrainConfig(
-            encoder=enc,
-            head=parse_head_spec(kv["head"]),
-            learning_rate=float(kv["learning_rate"]),
-            epochs=int(kv["epochs"]),
-            batch_size=int(kv["batch_size"]),
-            warmup_ratio=float(kv["warmup_ratio"]),
-            weight_decay=float(kv["weight_decay"]),
-            seed=int(kv["seed"]),
-            loss=kv["loss"],
-        )
+        return TrainConfig(encoder=EncoderConfig(**parsed(EncoderConfig, "encoder.")),
+                           **parsed(TrainConfig))
     except KeyError as err:
         raise CheckpointError(f"checkpoint config missing key {err}")
 
@@ -431,15 +402,18 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], TrainConfig]:
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    cfg = _config_from_lines(reader.take(reader.u32()).decode("utf-8"))
-    params: dict[str, np.ndarray] = {}
-    for _ in range(reader.u32()):
-        name = reader.take(reader.u32()).decode("utf-8")
-        rank = reader.u32()
-        shape = tuple(reader.u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
-        params[name] = data.astype(np.float32)
+    try:
+        cfg = _config_from_lines(reader.take(reader.u32()).decode("utf-8"))
+        params: dict[str, np.ndarray] = {}
+        for _ in range(reader.u32()):
+            name = reader.take(reader.u32()).decode("utf-8")
+            shape = tuple(reader.u32() for _ in range(reader.u32()))
+            data = np.frombuffer(reader.take(4 * prod(shape)), dtype="<f4").reshape(shape)
+            params[name] = data.astype(np.float32)
+    except CheckpointError:
+        raise
+    except ValueError as err:  # undecodable text, bad config values, unusable shapes
+        raise CheckpointError(f"format error: {err}") from err
     if reader.pos != len(payload):
         raise CheckpointError("format error: trailing bytes after parameters")
     return params, cfg
@@ -448,8 +422,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], TrainConfig]:
 def model_from_checkpoint(path) -> tuple[Model, TrainConfig]:
     """Rebuild a runnable model from a checkpoint file."""
     params, cfg = load_checkpoint(path)
-    n_classes = params["head.w_cls"].shape[1]
-    model = build_model(cfg, n_classes, dtype=np.float32)
+    w_cls = params.get("head.w_cls")
+    if w_cls is None or w_cls.ndim != 2:
+        raise CheckpointError("format error: no two-axis 'head.w_cls' tensor")
+    try:
+        model = build_model(cfg, w_cls.shape[1], dtype=np.float32)
+    except ValueError as err:  # a config that parses but builds no model
+        raise CheckpointError(f"format error: {err}") from err
     named = dict(model.named_parameters())
     if set(named) != set(params):
         raise CheckpointError("format error: parameter names do not match config")

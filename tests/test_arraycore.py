@@ -79,26 +79,38 @@ class TestMatmul:
         assert np.allclose(b.grad, a.data.T @ g)
 
 
+def attention_softmax(scores):
+    """The weights `attention` gives keys scored `scores` (..., T): with one
+    head of width 1 and a unit query, each key's score is the key itself."""
+    scores = np.asarray(scores, dtype=np.float64)
+    keys = array(scores[..., None])
+    query = array(np.ones(scores.shape[:-1] + (1, 1)))
+    probs = []
+    ac.attention(query, keys, keys, np.ones(scores.shape), 1, probs_out=probs)
+    return probs[0][..., 0, 0, :]
+
+
 class TestSoftmax:
+    """The softmax inside `attention`, the only one the model takes."""
+
     def test_uniform(self):
-        y = ac.softmax_lastaxis(array([0.0, 0.0, 0.0])).data
+        y = attention_softmax([0.0, 0.0, 0.0])
         assert np.allclose(y, [1 / 3] * 3, atol=1e-15)
 
     @pytest.mark.parametrize("c", [0.0, 5.0, -3.0, 123.456])
     def test_closed_form_and_shift_invariance(self, c):
-        y = ac.softmax_lastaxis(array([c, c + math.log(3.0)])).data
+        y = attention_softmax([c, c + math.log(3.0)])
         assert np.allclose(y, [0.25, 0.75], atol=1e-12)
 
     def test_no_overflow(self):
-        y = ac.softmax_lastaxis(array([1000.0, 0.0])).data
+        y = attention_softmax([1000.0, 0.0])
         assert np.all(np.isfinite(y))
         assert y[0] > 1.0 - 1e-12 and y[1] < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            x = array(rng.normal(scale=10.0, size=(3, 7)))
-            s = ac.softmax_lastaxis(x).data.sum(axis=-1)
+            s = attention_softmax(rng.normal(scale=10.0, size=(3, 7))).sum(axis=-1)
             assert np.all(np.abs(s - 1.0) < 1e-12)
 
 
@@ -338,14 +350,15 @@ class TestGradCheck:
         rng = np.random.default_rng(9)
         w = array(rng.normal(size=(4, 3)))
         x = array(rng.normal(size=(2, 4)))
+        keys = array(rng.normal(size=(5, 3)))
         first_column = array([[1.0], [0.0], [0.0]])
 
         def f():
-            # keep one softmax column so the scalar is not identically constant
-            probs = ac.softmax_lastaxis(ac.matmul(x, w))
-            return ac.sum_all(ac.matmul(probs, first_column))
+            # keep one output column so the scalar is not identically constant
+            mixed = ac.attention(ac.matmul(x, w), keys, keys, np.ones(5), 1)
+            return ac.sum_all(ac.matmul(mixed, first_column))
 
-        assert grad_check(f, [x, w], step=1e-5) < 1e-6
+        assert grad_check(f, [x, w, keys], step=1e-5) < 1e-6
 
     def test_constant_function(self):
         x = array([1.0, 2.0])
@@ -419,7 +432,6 @@ def _random_op_cases(rng):
         wrap(lambda: ac.reshape(x, (d, t)), [x]),
         wrap(lambda: ac.slice_rows(x, 0, max(1, t - 1)), [x]),
         wrap(lambda: ac.stack_axis0([x, y]), [x, y]),
-        wrap(lambda: ac.softmax_lastaxis(x), [x]),
         wrap(lambda: ac.max_over_axis0(theta), [theta]),
         wrap(lambda: ac.mean_over_axis0(theta), [theta]),
         wrap(lambda: ac.select_max_norm_axis0(theta), [theta]),

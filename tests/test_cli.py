@@ -1,17 +1,28 @@
+import argparse
 import csv
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clspool.arraycore as ac
 from clspool.cli import (
+    CliError,
+    ExperimentConfig,
+    _experiment_from_args,
+    build_parser,
     build_reports,
     format_mean_table,
     format_std_table,
     main,
 )
+from clspool.training import load_checkpoint
 
 TINY = ["--train-size", "48", "--eval-size", "16", "--seq-len", "8",
         "--vocab-size", "30", "--num-layers", "2", "--d-model", "16",
@@ -162,7 +173,6 @@ DIVERGING = ["--task", "pattern", "--train-size", "16", "--eval-size", "8",
              "--seq-len", "6", "--epochs", "1", "--lr", "1e38", "--seed", "1"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 class TestFailureRule:
     @pytest.mark.parametrize("command,args,runs", [
         ("compare", ["--head", "baseline", "--head", "mha:h=4"], 2),
@@ -172,7 +182,10 @@ class TestFailureRule:
     ])
     def test_diverged_runs_exit_1_and_are_named(self, tmp_path, capsys, command,
                                                 args, runs):
-        rc = run_cli(command, *DIVERGING, *args, "--out", str(tmp_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(command, *DIVERGING, *args, "--out", str(tmp_path))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert rc == 1
         failed = [line for line in err.splitlines() if line.startswith("run failed:")]
@@ -298,6 +311,19 @@ class TestReportAssembly:
         assert lines[-1].startswith("Delta")
         assert "0.0500" in lines[-1]
 
+    @pytest.mark.parametrize("heads,failed,note", [
+        (["mha:h=4"], "", "(no baseline head present; Delta row omitted)"),
+        (["baseline"], "", "(no variant heads; Delta row omitted)"),
+        (["baseline", "mha:h=4"], "baseline",
+         "(every baseline run failed; Delta row omitted)"),
+    ])
+    def test_delta_note_names_the_cause(self, heads, failed, note):
+        records = [dict(r, error="diverged") if r["head"] == failed else r
+                   for r in self._records() if r["head"] in heads]
+        table = format_mean_table(build_reports(records, heads))
+        assert table.splitlines()[-1] == note
+        assert not any(line.startswith("Delta") for line in table.splitlines())
+
     def test_std_table_scientific_format(self):
         reports = build_reports(self._records(), ["baseline", "mha:h=4"])
         table = format_std_table(reports)
@@ -314,3 +340,130 @@ def test_subprocess_entrypoint(tmp_path):
     result = subprocess.run([sys.executable, "-m", "clspool", "train"],
                             capture_output=True, text=True)
     assert result.returncode == 2
+
+
+def _write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return str(path)
+
+
+class TestFileData:
+    """The embedding table covers the vocabulary file and every token id."""
+
+    def test_text_schema_with_a_60_token_vocab(self, tmp_path):
+        words = [f"w{i}" for i in range(60)]
+        (tmp_path / "vocab.txt").write_text("\n".join(words) + "\n", encoding="utf-8")
+        rows = [{"text": f"{words[i]} {words[59 - i]}", "label": i % 2} for i in range(12)]
+        rc = run_cli("train", "--data", _write_jsonl(tmp_path / "tr.jsonl", rows),
+                     "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", rows[:4]),
+                     "--vocab", str(tmp_path / "vocab.txt"), *TINY,
+                     "--head", "baseline", "--seed", "1", "--out", str(tmp_path))
+        assert rc == 0
+        _, cfg = load_checkpoint(tmp_path / "baseline__seed1.ckpt")
+        assert cfg.encoder.vocab_size == 64  # 60 tokens + 4 reserved ids
+
+    def test_tokens_schema_id_70_in_parallel_cells(self, tmp_path):
+        rows = [{"tokens": [5 + i, 70 if i % 2 else 6], "label": i % 2} for i in range(12)]
+        rc = run_cli("compare", "--data", _write_jsonl(tmp_path / "tr.jsonl", rows),
+                     "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", rows[:4]),
+                     *TINY, "--head", "baseline", "--head", "mha:h=2", "--seed", "1",
+                     "--jobs", "2", "--out", str(tmp_path))
+        assert rc == 0
+        records = [json.loads(p.read_text()) for p in (tmp_path / "runs").glob("*.json")]
+        assert len(records) == 2 and not any("error" in r for r in records)
+
+
+def _experiment(*argv, command="compare"):
+    return _experiment_from_args(build_parser().parse_args([command, *argv]))
+
+
+# annotation -> (config-file value, parsed, flag values, parsed)
+FIELD_EXAMPLES = {
+    "str | None": ("alpha", "alpha", ["beta"], "beta"),
+    "str": ("alpha", "alpha", ["beta"], "beta"),
+    "int": ("7", 7, ["8"], 8),
+    "float": ("0.25", 0.25, ["0.5"], 0.5),
+    "list[str]": ("a, b", ["a", "b"], ["c", "d"], ["c", "d"]),
+    "list[int]": ("3,4", [3, 4], ["5", "6"], [5, 6]),
+}
+
+COMMON_FLAGS = {
+    "-h", "--help", "--config", "--task", "--data", "--eval-data", "--vocab", "--head",
+    "--seed", "--epochs", "--lr", "--batch-size", "--warmup-ratio", "--weight-decay",
+    "--dropout", "--train-size", "--eval-size", "--vocab-size", "--seq-len",
+    "--data-seed", "--num-layers", "--d-model", "--enc-heads", "--out", "--jobs",
+    "--max-seq-len",
+}
+SUBCOMMAND_FLAGS = {
+    "train": COMMON_FLAGS,
+    "compare": COMMON_FLAGS,
+    "ablate-k": COMMON_FLAGS | {"--k", "--heads", "--pool"},
+    "lowres": COMMON_FLAGS | {"--size"},
+    "eval": COMMON_FLAGS | {"--ckpt"},
+    "gradcheck": {"-h", "--help", "--bits", "--seed"},
+}
+DEFAULTS = dict(task=None, data=None, eval_data=None, vocab=None, heads=["baseline"],
+                seeds=[0], epochs=4, lr=2e-5, batch_size=32, warmup_ratio=0.1,
+                weight_decay=0.01, dropout=0.1, train_size=2000, eval_size=500,
+                vocab_size=50, seq_len=16, data_seed=0, num_layers=4, d_model=32,
+                enc_heads=4, max_seq_len=64, out="runs", jobs=1)
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("f", fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_every_field_is_a_flag_and_a_config_key(self, tmp_path, monkeypatch, f):
+        monkeypatch.delenv("CLSPOOL_SEED", raising=False)
+        raw, parsed, flag_values, flag_parsed = FIELD_EXAMPLES[f.type]
+        flag = "--" + (f.name[:-1] if f.type.startswith("list[")
+                       else f.name.replace("_", "-"))
+        flags = [arg for value in flag_values for arg in (flag, value)]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{f.name}={raw}\n", encoding="utf-8")
+        from_file = _experiment("--config", str(cfg))
+        from_flags = _experiment(*flags)
+        both = _experiment("--config", str(cfg), *flags)
+        assert from_file == replace(ExperimentConfig(), **{f.name: parsed})
+        assert repr(getattr(from_file, f.name)) == repr(parsed)
+        assert from_flags == replace(ExperimentConfig(), **{f.name: flag_parsed})
+        assert repr(getattr(from_flags, f.name)) == repr(flag_parsed)
+        assert both == from_flags
+
+    def test_subcommand_flags_and_defaults(self, monkeypatch):
+        monkeypatch.delenv("CLSPOOL_SEED", raising=False)
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        assert set(subs.choices) == set(SUBCOMMAND_FLAGS)
+        for name, sub in subs.choices.items():
+            assert {o for a in sub._actions for o in a.option_strings} \
+                == SUBCOMMAND_FLAGS[name], name
+            assert all(a.default is None for a in sub._actions if a.dest != "help")
+        assert asdict(_experiment()) == DEFAULTS
+
+    def test_ablate_heads_flag_is_not_the_heads_field(self):
+        args = build_parser().parse_args(["ablate-k", "--heads", "2"])
+        assert args.pool_heads == 2 and _experiment_from_args(args).heads == ["baseline"]
+
+    def test_empty_list_value_is_refused(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("seeds= , \n", encoding="utf-8")
+        with pytest.raises(CliError, match="'seeds' needs at least one value"):
+            _experiment("--config", str(cfg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([f.name for f in fields(ExperimentConfig)]), TEXT),
+        st.one_of(st.from_regex(r"-?[0-9]{0,3}(\.[0-9]*)?(e-?[0-9])?(, ?[0-9a-z:=+]*)*",
+                                fullmatch=True), TEXT)), max_size=5))
+    def test_random_config_text_parses_or_fails_cleanly(self, entries):
+        text = "".join(f"{key}={value}\n" for key, value in entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.cfg"
+            path.write_text(text, encoding="utf-8")
+            try:
+                exp = _experiment("--config", str(path))
+            except (CliError, ValueError):
+                return
+        assert isinstance(exp, ExperimentConfig)

@@ -1,14 +1,16 @@
 import math
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clspool.arraycore import Array, backward, grad_check
 from clspool.data import SyntheticTaskSpec, gen_synthetic
 from clspool.encoder import EncoderConfig
-from clspool.heads import HeadKind
+from clspool.heads import HeadKind, parse_head_spec
 from clspool.training import (
     CheckpointError,
     OptimizerState,
@@ -273,6 +275,58 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="CRC"):
             load_checkpoint(path)
+
+
+# 1 layer, d_model 8, maxseq+mha:k=1,h=2 at init; written by an earlier release
+GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / "tiny.ckpt"
+
+
+def test_golden_checkpoint_loads_and_saves_byte_for_byte(tmp_path):
+    model, cfg = model_from_checkpoint(GOLDEN_CHECKPOINT)
+    enc = EncoderConfig(vocab_size=12, num_layers=1, d_model=8, num_heads_encoder=2,
+                        max_seq_len=8, dropout=0.1)
+    assert cfg == TrainConfig(encoder=enc, head=parse_head_spec("maxseq+mha:k=1,h=2"),
+                              learning_rate=1e-3, epochs=2, batch_size=4,
+                              warmup_ratio=0.25, weight_decay=0.01, seed=7)
+    save_checkpoint(tmp_path / "again.ckpt", model, cfg)
+    assert (tmp_path / "again.ckpt").read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+
+
+def _resealed(blob: bytes) -> bytes:
+    payload = blob[4:-4]
+    return blob[:4] + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+# bytes that keep mutated config text close to parseable
+NEAR_TEXT = st.sampled_from(b"=\n.:,+-e0123456789kh")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_resealed_mutations_raise_only_checkpoint_error(tmp_path_factory, data):
+    """Any mutation with a valid CRC either loads or raises CheckpointError."""
+    blob = bytearray(GOLDEN_CHECKPOINT.read_bytes())
+    config_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    for _ in range(data.draw(st.integers(1, 3))):
+        in_config = data.draw(st.booleans())
+        # the version word has its own test; mutations start after it
+        lo, hi = (12, config_end) if in_config else (8, len(blob) - 4)
+        pos = data.draw(st.integers(lo, hi - 1))
+        edit = data.draw(st.sampled_from(["set", "delete", "insert"]))
+        value = data.draw(st.one_of(st.integers(0, 255), NEAR_TEXT))
+        if edit == "set":
+            blob[pos] = value
+        elif edit == "delete":
+            del blob[pos:pos + data.draw(st.integers(1, 8))]
+        else:
+            blob[pos:pos] = bytes([value])
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.ckpt"
+    path.write_bytes(_resealed(bytes(blob)))
+    try:
+        load_checkpoint(path)
+        model_from_checkpoint(path)
+    except CheckpointError:
+        pass
 
 
 class TestEvaluate:
