@@ -17,7 +17,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, field, fields
-from math import ceil, isfinite, prod
+from math import ceil, inf, isfinite, prod
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +79,10 @@ class TrainConfig:
     loss: str = "cross_entropy"  # or "squared_error"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < inf:  # also refuses nan
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.weight_decay < inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ValueError("warmup_ratio must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import math
 
@@ -224,6 +225,23 @@ class TestLayerNorm:
 class TestSmallOps:
     def test_gelu_zero(self):
         assert ac.gelu(array([0.0])).data[0] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_keeps_dtype(self, dtype):
+        assert ac.gelu(ac.Array(np.linspace(-3, 3, 7, dtype=dtype))).data.dtype == dtype
+
+    def test_gelu_float32_matches_float64_formula(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(-1e3, 1e3, 4000), rng.normal(0.0, 3.0, 4000),
+                            rng.uniform(-10.5, -9.5, 1000), rng.uniform(9.5, 10.5, 1000),
+                            [0.0, -10.0, 10.0]]).astype(np.float32)
+        x64 = x.astype(np.float64)
+        ref = 0.5 * x64 * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                         * (x64 + 0.044715 * x64 ** 3)))
+        out = ac.gelu(ac.Array(x)).data
+        # the output is x * Phi(x); its rounding error scales with |x|
+        assert np.all(np.abs(out - ref) <= 4 * np.spacing(np.abs(x)))
+        assert out[x == 0.0].tolist() == [0.0]
 
     def test_add_shape_error(self):
         with pytest.raises(ShapeError):
@@ -470,6 +488,30 @@ def test_op_cases_cover_every_op():
            if inspect.isfunction(getattr(ac, name)) and name not in NOT_OPS}
     covered = {op for _, _, op in _random_op_cases(np.random.default_rng(0))}
     assert ops <= covered, f"ops without a finite-difference case: {ops - covered}"
+
+
+def test_tape_records_each_op_in_topological_order():
+    rng = np.random.default_rng(4)
+    x, w = array(rng.normal(size=(3, 4))), array(rng.normal(size=(4, 4)))
+    gain, bias = array(np.ones(4)), array(np.zeros(4))
+    h = ac.layer_norm(ac.gelu(ac.matmul(x, w)), gain, bias)
+    root = ac.sum_all(ac.add(h, h))
+    tape = ac.Tape.trace(root)
+    assert [n.op for n in tape.nodes] == ["matmul", "gelu", "layer_norm", "add", "sum_all"]
+    assert [out.node for out in tape.outputs] == tape.nodes
+
+
+def test_dropped_graph_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        x = array(np.ones((2, 3)))
+        root = ac.sum_all(ac.gelu(ac.matmul(x, array(np.ones((3, 3))))))
+        backward(root)
+        del root
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tape_visits_each_node_once():

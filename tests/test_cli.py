@@ -63,6 +63,17 @@ class TestExitCodes:
         assert run_cli("compare", "--task", "pattern", *TINY,
                        "--head", "baseline", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("flag, name", [("--lr", "learning_rate"),
+                                            ("--weight-decay", "weight_decay")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_optimizer_setting_is_usage_error(self, tmp_path, capsys, flag, name,
+                                                  value):
+        rc = run_cli("train", "--task", "pattern", *TINY, "--head", "baseline",
+                     "--seed", "1", f"{flag}={value}", "--out", str(tmp_path))
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # refused before any training
+
     def test_unknown_task(self, tmp_path):
         assert run_cli("train", "--task", "nope", "--head", "baseline",
                        "--out", str(tmp_path)) == 2

@@ -1,3 +1,4 @@
+import gc
 import math
 import struct
 import zlib
@@ -136,6 +137,22 @@ class TestLosses:
         assert grad_check(f, [logits], step=1e-5) < 1e-8
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3, 0.0])
+    def test_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            small_cfg(lr=lr)
+
+    @pytest.mark.parametrize("wd", [math.nan, math.inf, -0.01])
+    def test_bad_weight_decay(self, wd):
+        enc = EncoderConfig(vocab_size=30, num_layers=2, d_model=16)
+        with pytest.raises(ValueError, match="weight_decay"):
+            TrainConfig(encoder=enc, weight_decay=wd)
+
+    def test_zero_weight_decay_is_allowed(self):
+        TrainConfig(encoder=EncoderConfig(vocab_size=30), weight_decay=0.0)
+
+
 class TestTrainLoop:
     def test_bit_identical_given_same_seed(self):
         train_set, eval_set = small_task()
@@ -144,6 +161,19 @@ class TestTrainLoop:
         _, r2 = train(cfg, train_set, eval_set)
         assert r1.eval_metrics == r2.eval_metrics
         assert r1.final_loss == r2.final_loss
+
+    def test_training_leaves_no_cyclic_garbage(self):
+        # the tape holds no reference cycles, so refcounting frees each step's graph
+        train_set, eval_set = small_task(train_size=32, eval_size=16)
+        cfg = small_cfg(head=HeadKind("normseq+mha", k=2, num_heads=2), dropout=0.1)
+        gc.collect()
+        gc.disable()
+        try:
+            model, _ = train(cfg, train_set, eval_set)
+            evaluate(model, eval_set)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_seeds_change_the_outcome(self):
         train_set, eval_set = small_task()
