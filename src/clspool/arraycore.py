@@ -30,7 +30,6 @@ __all__ = [
     "matmul",
     "add",
     "add_vec",
-    "reshape",
     "slice_rows",
     "stack_axis0",
     "max_over_axis0",
@@ -247,12 +246,6 @@ def add_vec(x: Array, v: Array) -> Array:
         return g, g.reshape(-1, v.shape[0]).sum(axis=0)
 
     return _make("add_vec", out, (x, v), bwd)
-
-
-def reshape(x: Array, shape) -> Array:
-    old = x.shape
-    return _make("reshape", x.data.reshape(shape), (x,),
-                 lambda g: (g.reshape(old),))
 
 
 def slice_rows(x: Array, start: int, stop: int) -> Array:

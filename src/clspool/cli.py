@@ -24,8 +24,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, fields, replace
 from io import StringIO
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from .data import (
     subsample,
 )
 from .encoder import EncoderConfig
-from .heads import ConfigurationError, HeadKind, head_forward, parse_head_spec
+from .heads import ConfigurationError, HeadKind, parse_head_spec
 from .metrics import EvalResult, SeedAggregate, aggregate_seeds
 from .training import (
     Model,
@@ -135,13 +135,20 @@ def _experiment_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+@contextmanager
+def _input_file(flag: str):
+    """Turn a failure to read the file a flag names into a usage error."""
+    try:
+        yield
+    except OSError as err:
+        raise CliError(f"cannot read {flag} file: {err}") from err
+
+
 def _read_config_file(path: str) -> dict:
     """ExperimentConfig values from flat key=value lines (comma lists for the
     list fields)."""
-    try:
+    with _input_file("--config"):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise CliError(f"cannot read config file: {err}")
     by_name = {f.name: f for f in fields(ExperimentConfig)}
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -182,11 +189,14 @@ def _load_datasets(exp: ExperimentConfig):
         loss = "cross_entropy" if task_type == "classification" else "squared_error"
         return train_set, eval_set, exp.task, loss
     if exp.data:
-        vocab = load_vocab(exp.vocab) if exp.vocab else None
-        train_set = load_jsonl(exp.data, vocab, max_len=exp.max_seq_len)
+        with _input_file("--vocab"):
+            vocab = load_vocab(exp.vocab) if exp.vocab else None
+        with _input_file("--data"):
+            train_set = load_jsonl(exp.data, vocab, max_len=exp.max_seq_len)
         if not exp.eval_data:
             raise CliError("--data also needs --eval-data")
-        eval_set = load_jsonl(exp.eval_data, vocab, max_len=exp.max_seq_len)
+        with _input_file("--eval-data"):
+            eval_set = load_jsonl(exp.eval_data, vocab, max_len=exp.max_seq_len)
         largest_id = max((i for ex in train_set + eval_set for i in ex.token_ids), default=0)
         exp.vocab_size = max(exp.vocab_size, vocab.size if vocab else 0, largest_id + 1)
         labels_int = all(isinstance(ex.label, int) for ex in train_set + eval_set)
@@ -478,7 +488,7 @@ def cmd_lowres(args) -> int:
 
 
 def gradcheck_model(bits: int, seed: int = 13) -> tuple[Model, np.ndarray, np.ndarray]:
-    """Toy model + probe input for finite-difference checks.
+    """Toy model + a (1, T) probe batch and its mask for finite-difference checks.
 
     All weights are redrawn at a generic scale (sigma 0.25 matrices, perturbed
     layer-norm affines): the training-scale init leaves attention gradients
@@ -500,8 +510,8 @@ def gradcheck_model(bits: int, seed: int = 13) -> tuple[Model, np.ndarray, np.nd
             p.data[:] = (1.0 + rng.normal(0.0, 0.25, p.data.shape)).astype(dtype)
         else:
             p.data[:] = rng.normal(0.0, 0.25, p.data.shape).astype(dtype)
-    ids = np.concatenate([[1], rng.integers(4, 16, size=6), [0]])
-    mask = np.array([1.0] * 7 + [0.0])
+    ids = np.concatenate([[1], rng.integers(4, 16, size=6), [0]])[None, :]
+    mask = np.array([[1.0] * 7 + [0.0]])
     return model, ids, mask
 
 
@@ -510,10 +520,7 @@ GRADCHECK_HEAD_SPECS = ("baseline", "maxcls:k=3", "mha:h=4", "maxseq+mha:k=3,h=4
 
 
 def _head_loss(model: Model, kind: HeadKind, ids, mask):
-    from .encoder import encode
-
-    stack = encode(model.enc, ids, mask)
-    return ac.sum_all(head_forward(kind, stack, model.head))
+    return ac.sum_all(replace(model, head_kind=kind).forward(ids, mask))
 
 
 def _gradcheck_errors(bits: int, seed: int) -> dict[str, float]:
@@ -562,7 +569,9 @@ def cmd_eval(args) -> int:
     if not args.ckpt:
         raise CliError("eval needs --ckpt PATH")
     exp = _experiment_from_args(args)
-    model, cfg = model_from_checkpoint(args.ckpt)
+    with _input_file("--ckpt"):
+        model, cfg = model_from_checkpoint(args.ckpt)
+    exp.vocab_size = cfg.encoder.vocab_size  # generated data must fit the embedding
     _, eval_set, task, _ = _load_datasets(exp)
     metrics = evaluate(model, eval_set)
     print(json.dumps({"task": task, "head": cfg.head.spec(), "metrics": metrics},

@@ -19,7 +19,9 @@ Three generated task kinds:
 
 from __future__ import annotations
 
+import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,12 +116,13 @@ def _example_from_record(record: dict, vocab: Vocab | None, max_len: int | None,
     if "label" not in record:
         raise SchemaError(f"line {line_no}: missing label")
     label = record["label"]
-    if not isinstance(label, (int, float)) or isinstance(label, bool):
-        raise SchemaError(f"line {line_no}: label must be int or real")
+    # exact types: bool is an int subclass, not a label
+    if type(label) is not int and not (type(label) is float and math.isfinite(label)):
+        raise SchemaError(f"line {line_no}: label must be a finite int or real")
     if "tokens" in record:
         tokens = record["tokens"]
         if not isinstance(tokens, list) or not all(
-                isinstance(t, int) and t >= 0 for t in tokens):
+                type(t) is int and t >= 0 for t in tokens):
             raise SchemaError(f"line {line_no}: tokens must be a nonnegative int array")
         ids = [CLS_ID] + tokens
         if max_len is not None and len(ids) > max_len:
@@ -128,33 +131,53 @@ def _example_from_record(record: dict, vocab: Vocab | None, max_len: int | None,
     if "text" in record:
         if vocab is None:
             raise SchemaError(f"line {line_no}: text schema requires a vocabulary")
-        ids = tokenize(record["text"], vocab, record.get("text_pair"), max_len)
+        text, pair = record["text"], record.get("text_pair")
+        if not isinstance(text, str) or not isinstance(pair, (str, type(None))):
+            raise SchemaError(f"line {line_no}: text and text_pair must be strings")
+        ids = tokenize(text, vocab, pair, max_len)
         return Example(token_ids=ids, label=label), "text"
     raise SchemaError(f"line {line_no}: need either 'tokens' or 'text'")
 
 
 def load_jsonl(path, vocab: Vocab | None = None,
                max_len: int | None = None) -> list[Example]:
-    """Read one JSON object per line; mixed token/text schemas are rejected."""
+    """Read one JSON object per line; mixed token/text schemas are rejected.
+
+    Every malformed line raises SchemaError naming it, and so does a negative
+    label in a file whose labels are all integers (class labels).
+    """
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no = blob.count(b"\n", 0, err.start) + 1
+        raise SchemaError(f"line {line_no}: not valid UTF-8")
     examples: list[Example] = []
     schema_seen: str | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise SchemaError(f"line {line_no}: malformed JSON ({err.msg})")
-            if not isinstance(record, dict):
-                raise SchemaError(f"line {line_no}: expected a JSON object")
-            example, schema = _example_from_record(record, vocab, max_len, line_no)
-            if schema_seen is None:
-                schema_seen = schema
-            elif schema != schema_seen:
-                raise SchemaError(f"line {line_no}: mixed '{schema}' and "
-                                  f"'{schema_seen}' schemas in one file")
-            examples.append(example)
+    negative = None  # line of the first negative label
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise SchemaError(f"line {line_no}: malformed JSON ({err.msg})")
+        except (ValueError, RecursionError) as err:  # digit limit, deep nesting
+            raise SchemaError(f"line {line_no}: unreadable JSON ({type(err).__name__})")
+        if not isinstance(record, dict):
+            raise SchemaError(f"line {line_no}: expected a JSON object")
+        example, schema = _example_from_record(record, vocab, max_len, line_no)
+        if schema_seen is None:
+            schema_seen = schema
+        elif schema != schema_seen:
+            raise SchemaError(f"line {line_no}: mixed '{schema}' and "
+                              f"'{schema_seen}' schemas in one file")
+        if example.label < 0 and negative is None:
+            negative = line_no
+        examples.append(example)
+    if negative and all(type(ex.label) is int for ex in examples):
+        raise SchemaError(f"line {negative}: negative class label (every label in "
+                          "the file is an integer)")
     return examples
 
 

@@ -9,9 +9,8 @@ add -> layer norm, then feed-forward (GELU) -> residual add -> layer norm.
 Padded positions get an additive -1e9 attention score and are zeroed in each
 layer's output.
 
-Inputs may be a single id sequence (activations come back T x d) or a batch
-of padded id rows (activations B x T x d); all downstream head math accepts
-either form.
+Inputs are batches: a (B, T) array of padded id rows, so every activation is
+B x T x d. A single sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "init_encoder_params",
     "encode",
     "self_attention",
-    "cls_of",
 ]
 
 INIT_STD = 0.02
@@ -111,10 +109,6 @@ class LayerStack:
     def num_layers(self) -> int:
         return len(self.activations)
 
-    @property
-    def seq_len(self) -> int:
-        return self.activations[0].shape[-2]
-
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
                         dtype=np.float64) -> EncoderParams:
@@ -162,17 +156,14 @@ def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,
            dropout_p: float = 0.0, rng: np.random.Generator | None = None) -> LayerStack:
     """Run the full encoder, returning activations of every layer.
 
-    tokens: one id sequence (T,) or a padded batch (B, T); mask flags valid
-    positions (defaults to all-valid). Raises VocabularyError on ids outside
-    the table and ValueError on empty input.
+    tokens: a padded (B, T) batch of ids; mask (B, T) flags valid positions
+    (defaults to all-valid). Raises VocabularyError on ids outside the table
+    and ValueError on empty input.
     """
     cfg = params.cfg
     ids = np.asarray(tokens, dtype=np.int64)
-    single = ids.ndim == 1
-    if single:
-        ids = ids[None, :]
     if ids.ndim != 2 or ids.shape[1] == 0:
-        raise ValueError(f"encode: expected a nonempty id sequence, got shape {ids.shape}")
+        raise ValueError(f"encode: expected a nonempty (B, T) id batch, got shape {ids.shape}")
     if ids.shape[1] > cfg.max_seq_len:
         raise ValueError(f"encode: sequence length {ids.shape[1]} exceeds "
                          f"max_seq_len {cfg.max_seq_len}")
@@ -180,46 +171,25 @@ def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,
         raise VocabularyError(f"encode: token id out of range [0, {cfg.vocab_size})")
 
     batch, seq = ids.shape
-    if mask is None:
-        m = np.ones((batch, seq), dtype=np.float64)
-    else:
-        m = np.asarray(mask, dtype=np.float64)
-        if single and m.ndim == 1:
-            m = m[None, :]
-        if m.shape != (batch, seq):
-            raise ValueError(f"encode: mask shape {m.shape} does not match ids {(batch, seq)}")
+    m = np.ones((batch, seq)) if mask is None else np.asarray(mask, dtype=np.float64)
+    if m.shape != (batch, seq):
+        raise ValueError(f"encode: mask shape {m.shape} does not match ids {(batch, seq)}")
 
     pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
-    x = ac.add(ac.embed_lookup(params.tok_emb, ids),
-               ac.embed_lookup(params.pos_emb, pos_ids))
-    if dropout_p > 0.0:
-        x = ac.dropout(x, dropout_p, rng)
+    x = ac.dropout(ac.add(ac.embed_lookup(params.tok_emb, ids),
+                          ac.embed_lookup(params.pos_emb, pos_ids)), dropout_p, rng)
 
     activations = []
     for layer in params.layers:
-        attn = self_attention(x, layer, m, cfg.num_heads_encoder)
-        if dropout_p > 0.0:
-            attn = ac.dropout(attn, dropout_p, rng)
+        attn = ac.dropout(self_attention(x, layer, m, cfg.num_heads_encoder), dropout_p, rng)
         x = ac.layer_norm(ac.add(x, attn), layer.ln1_gain, layer.ln1_bias)
 
         ff = ac.add_vec(ac.matmul(ac.gelu(ac.add_vec(ac.matmul(x, layer.w_ff1),
                                                      layer.b_ff1)),
                                   layer.w_ff2),
                         layer.b_ff2)
-        if dropout_p > 0.0:
-            ff = ac.dropout(ff, dropout_p, rng)
-        x = ac.layer_norm(ac.add(x, ff), layer.ln2_gain, layer.ln2_bias)
+        x = ac.layer_norm(ac.add(x, ac.dropout(ff, dropout_p, rng)),
+                          layer.ln2_gain, layer.ln2_bias)
         x = ac.mask_rows(x, m)
         activations.append(x)
-
-    if single:
-        activations = [ac.reshape(a, (seq, cfg.d_model)) for a in activations]
-        m = m[0]
     return LayerStack(activations=activations, mask=m)
-
-
-def cls_of(stack: LayerStack, i: int) -> Array:
-    """[CLS] vector of layer i (1-indexed): row 0 of y^(i), shape (..., 1, d)."""
-    if not 1 <= i <= stack.num_layers:
-        raise IndexError(f"cls_of: layer index {i} out of range [1, {stack.num_layers}]")
-    return ac.slice_rows(stack.activations[i - 1], 0, 1)

@@ -1,9 +1,9 @@
 """Aggregation heads: interchangeable strategies mapping a layer stack to logits.
 
-Every head follows one recipe. It takes the [CLS] row or the whole sequence,
-pools those rows over the last k layers (or keeps the final layer alone),
-optionally runs one extra multi-head attention step with the pooled [CLS]
-slot as the query, and classifies. Six kinds are supported:
+Every head follows one recipe. It pools the last k layers position by position
+(or keeps the final layer alone), takes the [CLS] row of the result,
+optionally runs one extra multi-head attention step with that row as the query
+over the pooled sequence, and classifies. Six kinds are supported:
 
 * ``baseline``      - final-layer [CLS] straight into the classifier
 * ``maxcls``        - element-wise max over the [CLS] vectors of the last k layers
@@ -15,9 +15,11 @@ slot as the query, and classifies. Six kinds are supported:
 * ``normseq+mha``   - same, but per position keep the layer vector with the
                       largest L2 norm instead of the element-wise max
 
-Every head ends in a plain linear classifier (no activation). The extra
-attention layer has no residual, layer norm, bias, or feed-forward: it is a
-bare attention block so the comparison between kinds stays clean.
+Every pool works position by position, so taking the [CLS] row after pooling
+gives what pooling the [CLS] rows alone would. Every head ends in a plain
+linear classifier (no activation). The extra attention layer has no residual,
+layer norm, bias, or feed-forward: it is a bare attention block so the
+comparison between kinds stays clean.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import arraycore as ac
 from .arraycore import Array
-from .encoder import LayerStack, cls_of
+from .encoder import LayerStack
 
 __all__ = [
     "HeadKind",
@@ -40,7 +42,6 @@ __all__ = [
     "parse_head_spec",
     "xavier_uniform_init",
     "init_head_params",
-    "theta",
     "cls_attend",
     "aggregate",
     "classify",
@@ -49,19 +50,18 @@ __all__ = [
 
 
 class _Recipe(NamedTuple):
-    rows: str          # "cls": the [CLS] row only; "seq": the whole sequence
     pool: str | None   # arraycore op pooling the last k layers; None: final layer only
     attends: bool      # one cls_attend step over the pooled rows
 
 
 # Pool ops are named, not bound, so that a patched arraycore op takes effect.
 _RECIPES = {
-    "baseline": _Recipe("cls", None, False),
-    "maxcls": _Recipe("cls", "max_over_axis0", False),
-    "mha": _Recipe("seq", None, True),
-    "maxseq+mha": _Recipe("seq", "max_over_axis0", True),
-    "meanseq+mha": _Recipe("seq", "mean_over_axis0", True),
-    "normseq+mha": _Recipe("seq", "select_max_norm_axis0", True),
+    "baseline": _Recipe(None, False),
+    "maxcls": _Recipe("max_over_axis0", False),
+    "mha": _Recipe(None, True),
+    "maxseq+mha": _Recipe("max_over_axis0", True),
+    "meanseq+mha": _Recipe("mean_over_axis0", True),
+    "normseq+mha": _Recipe("select_max_norm_axis0", True),
 }
 
 VALID_HEAD_KINDS = tuple(_RECIPES)
@@ -187,20 +187,6 @@ def init_head_params(kind: HeadKind, d_model: int, n_classes: int,
     return params
 
 
-def theta(stack: LayerStack, k: int, t: int) -> Array:
-    """The (k, ..., t, d) tensor of the first t token vectors of the last k layers.
-
-    Layer order is preserved: axis 0 runs oldest-to-deepest of the slice.
-    """
-    n = stack.num_layers
-    seq = stack.seq_len
-    if not 1 <= k <= n:
-        raise SliceError(f"theta: k={k} out of range [1, {n}]")
-    if not 1 <= t <= seq:
-        raise SliceError(f"theta: t={t} out of range [1, {seq}]")
-    return ac.stack_axis0([ac.slice_rows(y, 0, t) for y in stack.activations[n - k:]])
-
-
 def cls_attend(query_cls: Array, context: Array, params: HeadParams,
                mask: np.ndarray, num_heads: int = DEFAULT_NUM_HEADS,
                return_weights: bool = False):
@@ -222,25 +208,22 @@ def cls_attend(query_cls: Array, context: Array, params: HeadParams,
     return out
 
 
-def aggregate(kind: HeadKind, stack: LayerStack, params: HeadParams,
-              mask: np.ndarray | None = None) -> Array:
-    """The representation a head classifies, shaped (..., 1, d).
-
-    Pools the kind's rows over the last k layers (the final layer alone when
-    the kind has no pool), then lets the pooled [CLS] slot attend over them
-    when the kind attends. mask defaults to the stack's validity mask.
-    """
+def aggregate(kind: HeadKind, stack: LayerStack, params: HeadParams) -> Array:
+    """The representation a head classifies, shaped (..., 1, d): the [CLS] row of
+    the pooled last k layers (of the final layer when the kind has no pool), after
+    one attention step over the pooled rows when the kind attends."""
     recipe = _RECIPES[kind.kind]
     if recipe.pool is None:
-        rep = cls_of(stack, stack.num_layers) if recipe.rows == "cls" \
-            else stack.activations[-1]
+        rows = stack.activations[-1]
     else:
-        t = 1 if recipe.rows == "cls" else stack.seq_len
-        rep = getattr(ac, recipe.pool)(theta(stack, kind.k, t))
+        if not 1 <= kind.k <= stack.num_layers:
+            raise SliceError(f"head '{kind.spec()}': k={kind.k} out of range "
+                             f"[1, {stack.num_layers}]")
+        rows = getattr(ac, recipe.pool)(ac.stack_axis0(stack.activations[-kind.k:]))
+    cls = ac.slice_rows(rows, 0, 1)
     if recipe.attends:
-        mask = stack.mask if mask is None else mask
-        rep = cls_attend(ac.slice_rows(rep, 0, 1), rep, params, mask, kind.num_heads)
-    return rep
+        return cls_attend(cls, rows, params, stack.mask, kind.num_heads)
+    return cls
 
 
 def classify(rep: Array, w_cls: Array, b_cls: Array) -> Array:
@@ -248,7 +231,6 @@ def classify(rep: Array, w_cls: Array, b_cls: Array) -> Array:
     return ac.add_vec(ac.matmul(rep, w_cls), b_cls)
 
 
-def head_forward(kind: HeadKind, stack: LayerStack, params: HeadParams,
-                 mask: np.ndarray | None = None) -> Array:
+def head_forward(kind: HeadKind, stack: LayerStack, params: HeadParams) -> Array:
     """Logits of one head: its aggregate, then the linear classifier."""
-    return classify(aggregate(kind, stack, params, mask), params.w_cls, params.b_cls)
+    return classify(aggregate(kind, stack, params), params.w_cls, params.b_cls)

@@ -38,8 +38,6 @@ __all__ = [
     "CheckpointError",
     "lr_at_step",
     "adamw_step",
-    "cross_entropy",
-    "squared_error",
     "build_model",
     "pad_batch",
     "evaluate",
@@ -163,17 +161,6 @@ def _clip_global_norm(named_params: list[tuple[str, Array]], max_norm: float) ->
     return float(norm)
 
 
-def cross_entropy(logits: Array, label) -> Array:
-    """-log softmax(logits)[label]; accepts a single (1, C) row or a batch."""
-    labels = np.atleast_1d(np.asarray(label))
-    return ac.cross_entropy_mean(logits, labels)
-
-
-def squared_error(preds: Array, target) -> Array:
-    targets = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    return ac.squared_error_mean(preds, targets)
-
-
 @dataclass
 class Model:
     encoder_cfg: EncoderConfig
@@ -217,11 +204,10 @@ def pad_batch(examples: list[Example]) -> tuple[np.ndarray, np.ndarray, list]:
 def _batch_loss(model: Model, batch: list[Example], loss_kind: str,
                 dropout_p: float = 0.0, rng: np.random.Generator | None = None) -> Array:
     ids, mask, labels = pad_batch(batch)
-    logits = model.forward(ids, mask, dropout_p=dropout_p, rng=rng)
-    flat = ac.reshape(logits, (len(batch), model.n_classes))
+    logits = model.forward(ids, mask, dropout_p=dropout_p, rng=rng)  # (B, 1, C)
     if loss_kind == "cross_entropy":
-        return cross_entropy(flat, np.asarray(labels, dtype=np.int64))
-    return squared_error(flat, np.asarray(labels, dtype=np.float64))
+        return ac.cross_entropy_mean(logits, np.asarray(labels, dtype=np.int64))
+    return ac.squared_error_mean(logits, np.asarray(labels, dtype=np.float64))
 
 
 def evaluate(model: Model, dataset: list[Example], batch_size: int = 64) -> dict[str, float]:

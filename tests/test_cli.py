@@ -78,6 +78,34 @@ class TestExitCodes:
         assert run_cli("train", "--task", "nope", "--head", "baseline",
                        "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("flag", ["--config", "--data", "--eval-data", "--vocab",
+                                      "--ckpt"])
+    def test_unreadable_input_file_is_usage_error(self, tmp_path, capsys, flag):
+        (tmp_path / "vocab.txt").write_text("a\nb\n", encoding="utf-8")
+        rows = [{"text": "a b", "label": i % 2} for i in range(4)]
+        files = {"--data": _write_jsonl(tmp_path / "tr.jsonl", rows),
+                 "--eval-data": _write_jsonl(tmp_path / "ev.jsonl", rows),
+                 "--vocab": str(tmp_path / "vocab.txt")}
+        missing = str(tmp_path / "missing")
+        if flag == "--ckpt":
+            argv = ["eval", "--task", "pattern", *TINY, "--ckpt", missing]
+        elif flag == "--config":
+            argv = ["train", "--task", "pattern", "--config", missing]
+        else:
+            files[flag] = missing
+            argv = ["train", *[a for item in files.items() for a in item], *TINY,
+                    "--head", "baseline", "--seed", "1", "--out", str(tmp_path / "out")]
+        assert run_cli(*argv) == 2
+        assert f"cannot read {flag} file" in capsys.readouterr().err
+
+    def test_negative_class_label_stops_compare_at_load(self, tmp_path, capsys):
+        rows = [{"tokens": [5, 6], "label": -1 if i == 2 else i % 2} for i in range(8)]
+        rc = run_cli("compare", "--data", _write_jsonl(tmp_path / "tr.jsonl", rows),
+                     "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", rows[:2]), *TINY,
+                     "--head", "baseline", "--head", "mha:h=2", "--out", str(tmp_path))
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_writes_metrics_and_checkpoint(self, tmp_path, capsys):
@@ -103,6 +131,17 @@ class TestTrainCommand:
         evaled = json.loads(capsys.readouterr().out.strip())
         assert evaled["metrics"] == train_metrics
         assert evaled["head"] == "mha:h=2"
+
+    def test_eval_takes_the_vocab_size_from_the_checkpoint(self, tmp_path, capsys):
+        # trained at --vocab-size 30, scored without the flag (default 50)
+        run_cli("train", "--task", "pattern", *TINY, "--head", "baseline",
+                "--seed", "2", "--out", str(tmp_path))
+        train_metrics = json.loads(capsys.readouterr().out.strip())
+        at = TINY.index("--vocab-size")
+        rc = run_cli("eval", "--ckpt", str(tmp_path / "baseline__seed2.ckpt"),
+                     "--task", "pattern", *TINY[:at], *TINY[at + 2:])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out.strip())["metrics"] == train_metrics
 
 
 class TestCompareCommand:

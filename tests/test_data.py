@@ -1,7 +1,11 @@
+import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clspool.data import (
     CLS_ID,
@@ -106,6 +110,44 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             load_jsonl(path, vocab)
 
+    @pytest.mark.parametrize("line", [
+        b'{"text": 5, "label": 0}',
+        b'{"text": "a", "text_pair": 3, "label": 0}',
+        b'{"tokens": [5], "label": NaN}',
+        b'{"tokens": [5], "label": Infinity}',
+        b'{"tokens": [5], "label": 1e400}',
+        b'{"tokens": [true, 5], "label": 0}',
+        b'{"tokens": [5], "label": 0, "deep": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+        b'{"tokens": [5], "label": ' + b"1" * 5000 + b"}",
+        b'{"text": "\xff", "label": 0}',
+    ], ids=["text-int", "pair-int", "nan", "infinity", "overflow", "bool-token",
+            "deep", "digits", "not-utf8"])
+    def test_bad_line_is_schema_error_with_line(self, tmp_path, vocab, line):
+        path = tmp_path / "d.jsonl"
+        first = b'{"tokens": [4], "label": 1}' if b"tokens" in line \
+            else b'{"text": "a", "label": 1}'  # same schema: no mixed-schema error
+        path.write_bytes(first + b"\n" + line + b"\n")
+        with pytest.raises(SchemaError, match="line 2"):
+            load_jsonl(path, vocab)
+
+    def test_negative_class_label_is_refused(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"tokens":[5],"label":0}\n{"tokens":[6],"label":-1}\n',
+                        encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 2"):
+            load_jsonl(path)
+
+    def test_label_beyond_float_range_loads_as_int(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"tokens":[5],"label":1%s}\n' % ("0" * 400), encoding="utf-8")
+        assert load_jsonl(path)[0].label == 10 ** 400
+
+    def test_negative_real_label_loads(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"tokens":[5],"label":-1}\n{"tokens":[6],"label":0.5}\n',
+                        encoding="utf-8")
+        assert [ex.label for ex in load_jsonl(path)] == [-1, 0.5]
+
     def test_round_trip(self, tmp_path):
         spec = SyntheticTaskSpec(kind="pair_similarity", train_size=20, eval_size=5,
                                  seq_len=(8, 12), seed=3)
@@ -114,6 +156,38 @@ class TestJsonl:
         save_jsonl(path, train)
         back = load_jsonl(path)
         assert back == train
+
+
+def _containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                         max_size=3)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    _containers, max_leaves=8)
+RECORD = st.fixed_dictionaries({}, optional={
+    "tokens": st.lists(st.integers(-1, 40), max_size=4) | JSON,
+    "text": st.text(max_size=8) | JSON,
+    "text_pair": st.text(max_size=8) | JSON,
+    "label": st.integers(-1, 2) | st.integers(10 ** 308, 10 ** 320) | st.floats() | JSON,
+})
+LINE = (RECORD.map(lambda r: json.dumps(r).encode())
+        | st.text(max_size=20).map(str.encode) | st.binary(max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LINE, max_size=4), st.sampled_from([None, 1, 3]), st.booleans())
+def test_random_lines_load_or_raise_schema_error(lines, max_len, with_vocab):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        vocab = Vocab.from_tokens(["x", "a"]) if with_vocab else None
+        try:
+            examples = load_jsonl(path, vocab, max_len)
+        except SchemaError:
+            return
+    assert all(isinstance(ex, Example) for ex in examples)
 
 
 class TestGenerators:

@@ -6,7 +6,6 @@ from clspool.arraycore import Array, grad_check
 from clspool.encoder import (
     EncoderConfig,
     VocabularyError,
-    cls_of,
     encode,
     init_encoder_params,
     self_attention,
@@ -22,10 +21,11 @@ def toy_params(vocab=12, n_layers=2, d=8, heads=2, t_max=8, seed=0, dtype=np.flo
 class TestEncode:
     def test_shape_contract(self):
         params = toy_params()
-        stack = encode(params, [1, 4, 5, 6, 7])
+        stack = encode(params, [[1, 4, 5, 6, 7]])  # one sequence is a batch of one
         assert stack.num_layers == 2
+        assert stack.mask.shape == (1, 5)
         for y in stack.activations:
-            assert y.shape == (5, 8)
+            assert y.shape == (1, 5, 8)
 
     def test_batched_shape_contract(self):
         params = toy_params()
@@ -37,17 +37,17 @@ class TestEncode:
 
     def test_deterministic(self):
         params = toy_params(seed=3)
-        a = encode(params, [1, 4, 5, 6])
-        b = encode(params, [1, 4, 5, 6])
+        a = encode(params, [[1, 4, 5, 6]])
+        b = encode(params, [[1, 4, 5, 6]])
         for ya, yb in zip(a.activations, b.activations):
             assert np.array_equal(ya.data, yb.data)
 
     def test_padded_rows_are_zero(self):
         params = toy_params()
-        stack = encode(params, [1, 4, 0, 0], mask=np.array([1.0, 1.0, 0.0, 0.0]))
+        stack = encode(params, [[1, 4, 0, 0]], mask=np.array([[1.0, 1.0, 0.0, 0.0]]))
         for y in stack.activations:
-            assert np.all(y.data[2:] == 0.0)
-            assert np.any(y.data[:2] != 0.0)
+            assert np.all(y.data[0, 2:] == 0.0)
+            assert np.any(y.data[0, :2] != 0.0)
 
     def test_padding_never_leaks_into_valid_positions(self):
         # changing a padded token's id leaves every valid activation untouched
@@ -60,26 +60,28 @@ class TestEncode:
             ids[0] = 1
             mask = np.zeros(seq)
             mask[:n_valid] = 1.0
-            base = encode(params, ids, mask)
+            base = encode(params, ids[None, :], mask[None, :])
             mutated = ids.copy()
             mutated[n_valid:] = rng.integers(1, 12, size=seq - n_valid)
-            other = encode(params, mutated, mask)
+            other = encode(params, mutated[None, :], mask[None, :])
             for ya, yb in zip(base.activations, other.activations):
-                assert np.array_equal(ya.data[:n_valid], yb.data[:n_valid])
+                assert np.array_equal(ya.data[0, :n_valid], yb.data[0, :n_valid])
 
     def test_vocab_error(self):
         with pytest.raises(VocabularyError):
-            encode(toy_params(vocab=10), [1, 10])
+            encode(toy_params(vocab=10), [[1, 10]])
 
     def test_empty_sequence_error(self):
         with pytest.raises(ValueError):
-            encode(toy_params(), [])
+            encode(toy_params(), [[]])
+        with pytest.raises(ValueError):  # a bare sequence is not a batch
+            encode(toy_params(), [1, 4, 5])
 
     def test_dropout_seeded(self):
         params = toy_params()
-        a = encode(params, [1, 4, 5], dropout_p=0.5, rng=np.random.default_rng(7))
-        b = encode(params, [1, 4, 5], dropout_p=0.5, rng=np.random.default_rng(7))
-        c = encode(params, [1, 4, 5], dropout_p=0.5, rng=np.random.default_rng(8))
+        a = encode(params, [[1, 4, 5]], dropout_p=0.5, rng=np.random.default_rng(7))
+        b = encode(params, [[1, 4, 5]], dropout_p=0.5, rng=np.random.default_rng(7))
+        c = encode(params, [[1, 4, 5]], dropout_p=0.5, rng=np.random.default_rng(8))
         assert np.array_equal(a.activations[-1].data, b.activations[-1].data)
         assert not np.array_equal(a.activations[-1].data, c.activations[-1].data)
 
@@ -132,34 +134,11 @@ class TestSelfAttention:
         assert np.array_equal(out_masked.data[:2], out_masked2.data[:2])
 
 
-class TestClsOf:
-    def test_last_layer(self):
-        stack = encode(toy_params(), [1, 4, 5])
-        got = cls_of(stack, stack.num_layers)
-        assert np.array_equal(got.data, stack.activations[-1].data[0:1])
-
-    def test_single_layer_stack(self):
-        stack = encode(toy_params(n_layers=1), [1, 4])
-        assert np.array_equal(cls_of(stack, 1).data, stack.activations[0].data[0:1])
-
-    def test_shape_contract_d32(self):
-        params = toy_params(vocab=10, n_layers=1, d=32, heads=4)
-        stack = encode(params, [1, 4, 5])
-        assert cls_of(stack, 1).shape == (1, 32)
-
-    def test_out_of_range(self):
-        stack = encode(toy_params(), [1, 4])
-        with pytest.raises(IndexError):
-            cls_of(stack, 3)
-        with pytest.raises(IndexError):
-            cls_of(stack, 0)
-
-
 def test_full_encoder_grad_check():
     """Loss through the whole encoder matches finite differences (64-bit)."""
     params = toy_params(vocab=10, n_layers=2, d=8, heads=2, t_max=4, seed=9)
-    ids = np.array([1, 4, 5, 0])
-    mask = np.array([1.0, 1.0, 1.0, 0.0])
+    ids = np.array([[1, 4, 5, 0]])
+    mask = np.array([[1.0, 1.0, 1.0, 0.0]])
     plist = [p for _, p in params.named_parameters()]
     # probe at a well-conditioned point: the 0.02-std init leaves attention
     # gradients below the finite-difference noise floor, and very large
@@ -171,7 +150,7 @@ def test_full_encoder_grad_check():
 
     def f():
         stack = encode(params, ids, mask)
-        return ac.sum_all(ac.gelu(cls_of(stack, 2)))
+        return ac.sum_all(ac.gelu(ac.slice_rows(stack.activations[1], 0, 1)))
 
     err = grad_check(f, plist, step=1e-5)  # all coordinates
     assert err < 1e-4

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clspool import arraycore as ac
 from clspool.arraycore import Array, grad_check
@@ -17,7 +18,6 @@ from clspool.heads import (
     head_forward,
     init_head_params,
     parse_head_spec,
-    theta,
     xavier_uniform_init,
 )
 
@@ -35,9 +35,14 @@ def make_params(rng, d=8, n_classes=2, num_heads=2):
 NO_ATTENTION = HeadParams(w_cls=Array(np.zeros((8, 2))), b_cls=Array(np.zeros(2)))
 
 
-def rep(spec, stack, params=NO_ATTENTION, mask=None):
+def rep(spec, stack, params=NO_ATTENTION):
     """The representation head `spec` hands to its classifier."""
-    return aggregate(parse_head_spec(spec), stack, params, mask)
+    return aggregate(parse_head_spec(spec), stack, params)
+
+
+def last_layers(stack, k):
+    """The (k, ..., T, d) stack of the last k layers, oldest first."""
+    return ac.stack_axis0(stack.activations[-k:])
 
 
 def mha_head_oracle(query, context, params, mask, h):
@@ -67,35 +72,21 @@ def mha_head_oracle(query, context, params, mask, h):
     return np.array(concat) @ params.wo.data
 
 
-class TestTheta:
-    def test_k1_t1_is_final_cls(self):
-        stack = random_stack(np.random.default_rng(0))
-        got = theta(stack, 1, 1)
-        assert got.shape == (1, 1, 8)
-        assert np.array_equal(got.data[0, 0], stack.activations[-1].data[0])
-
-    def test_full_slice(self):
-        stack = random_stack(np.random.default_rng(1))
-        got = theta(stack, 4, 5)
-        for i, y in enumerate(stack.activations):
-            assert np.array_equal(got.data[i], y.data)
-
-    def test_shape_contract(self):
-        stack = random_stack(np.random.default_rng(2), n_layers=4, seq=6, d=32)
-        assert theta(stack, 3, 5).shape == (3, 5, 32)
-
-    def test_layer_order_preserved(self):
-        stack = random_stack(np.random.default_rng(3))
-        got = theta(stack, 2, 3)
-        assert np.array_equal(got.data[0], stack.activations[-2].data[:3])
-        assert np.array_equal(got.data[1], stack.activations[-1].data[:3])
-
-    def test_out_of_range(self):
-        stack = random_stack(np.random.default_rng(4))
-        with pytest.raises(SliceError):
-            theta(stack, 5, 1)
-        with pytest.raises(SliceError):
-            theta(stack, 1, 6)
+def pool_oracle(layers, pool):
+    """Scalar-loop pool of equal-shaped (T, d) layers, position by position:
+    element-wise max or mean, or the vector of largest L2 norm (ties deepest)."""
+    t, d = layers[0].shape
+    out = np.zeros((t, d))
+    for i in range(t):
+        if pool == "norm":
+            norms = [math.sqrt(sum(float(x) ** 2 for x in layer[i])) for layer in layers]
+            best = max(range(len(layers)), key=lambda l: (norms[l], l))
+            out[i] = layers[best][i]
+            continue
+        for j in range(d):
+            column = [float(layer[i, j]) for layer in layers]
+            out[i, j] = max(column) if pool == "max" else sum(column) / len(column)
+    return out
 
 
 class TestBaselineAndMaxCls:
@@ -103,10 +94,6 @@ class TestBaselineAndMaxCls:
         stack = random_stack(np.random.default_rng(5))
         assert np.array_equal(rep("baseline", stack).data,
                               stack.activations[-1].data[0:1])
-
-    def test_baseline_equals_theta11(self):
-        stack = random_stack(np.random.default_rng(6))
-        assert np.array_equal(rep("baseline", stack).data, theta(stack, 1, 1).data[0])
 
     def test_single_layer_stack(self):
         stack = random_stack(np.random.default_rng(7), n_layers=1)
@@ -222,9 +209,9 @@ class TestMhaHeads:
 
     def test_mha_masked_to_cls_only_equals_singleton(self):
         rng = np.random.default_rng(16)
-        stack = random_stack(rng, d=8)
+        stack = random_stack(rng, d=8, mask=[1.0, 0, 0, 0, 0])
         params = make_params(rng, d=8)
-        masked = rep("mha:h=2", stack, params, mask=np.array([1.0, 0, 0, 0, 0]))
+        masked = rep("mha:h=2", stack, params)
         solo_stack = LayerStack(
             activations=[ac.slice_rows(y, 0, 1) for y in stack.activations],
             mask=np.ones(1))
@@ -262,7 +249,7 @@ class TestMhaHeads:
     def test_maxseq_pool_dominates_layers(self):
         rng = np.random.default_rng(20)
         stack = random_stack(rng)
-        pooled = ac.max_over_axis0(theta(stack, 3, 5)).data
+        pooled = ac.max_over_axis0(last_layers(stack, 3)).data
         for y in stack.activations[-3:]:
             assert np.all(pooled >= y.data)
 
@@ -271,7 +258,7 @@ class TestMhaHeads:
         x = rng.normal(size=(4, 8))
         stack = LayerStack(activations=[Array(x.copy()), Array(-x)], mask=np.ones(4))
         params = make_params(rng, d=8)
-        pooled = ac.mean_over_axis0(theta(stack, 2, 4))
+        pooled = ac.mean_over_axis0(last_layers(stack, 2))
         assert np.allclose(pooled.data, 0.0, atol=1e-15)
         out = cls_attend(ac.slice_rows(pooled, 0, 1), pooled, params,
                          np.ones(4), num_heads=2)
@@ -280,19 +267,19 @@ class TestMhaHeads:
     def test_normselect_picks_larger_norm_vector(self):
         acts = [Array(np.array([[3.0, 4.0]])), Array(np.array([[1.0, 0.0]]))]
         stack = LayerStack(activations=acts, mask=np.ones(1))
-        sel = ac.select_max_norm_axis0(theta(stack, 2, 1))
+        sel = ac.select_max_norm_axis0(last_layers(stack, 2))
         assert sel.data.tolist() == [[3.0, 4.0]]
 
     def test_normselect_tie_prefers_deepest(self):
         acts = [Array(np.array([[0.0, 5.0]])), Array(np.array([[5.0, 0.0]]))]
         stack = LayerStack(activations=acts, mask=np.ones(1))
-        sel = ac.select_max_norm_axis0(theta(stack, 2, 1))
+        sel = ac.select_max_norm_axis0(last_layers(stack, 2))
         assert sel.data.tolist() == [[5.0, 0.0]]
 
     def test_normselect_selected_norm_dominates(self):
         rng = np.random.default_rng(22)
         stack = random_stack(rng)
-        sel = ac.select_max_norm_axis0(theta(stack, 3, 5)).data
+        sel = ac.select_max_norm_axis0(last_layers(stack, 3)).data
         sel_norms = np.sqrt((sel ** 2).sum(-1))
         for y in stack.activations[-3:]:
             assert np.all(sel_norms >= np.sqrt((y.data ** 2).sum(-1)) - 1e-12)
@@ -349,20 +336,30 @@ class TestHeadForward:
                 got = head_forward(HeadKind(kind, k=1, num_heads=2), stack, params)
                 assert np.array_equal(mha.data, got.data)
 
-    def test_maxseq_k3_matches_standalone_oracle(self):
+    @pytest.mark.parametrize("spec, pool", [
+        ("baseline", None), ("maxcls:k=3", "max"), ("mha:h=2", None),
+        ("maxseq+mha:k=3,h=2", "max"), ("meanseq+mha:k=3,h=2", "mean"),
+        ("normseq+mha:k=3,h=2", "norm"),
+    ])
+    def test_head_matches_standalone_oracle(self, spec, pool):
         rng = np.random.default_rng(24)
         stack = random_stack(rng, d=8)
         params = make_params(rng, d=8)
-        got = head_forward(HeadKind("maxseq+mha", k=3, num_heads=2), stack, params)
-        # independent pipeline: loop max-pool, loop attention, loop classify
-        layers = [y.data for y in stack.activations[-3:]]
-        pooled = np.zeros_like(layers[0])
-        for i in range(pooled.shape[0]):
-            for j in range(pooled.shape[1]):
-                pooled[i, j] = max(layer[i, j] for layer in layers)
-        rep = mha_head_oracle(pooled[0:1], pooled, params, stack.mask, h=2)
+        kind = parse_head_spec(spec)
+        got = head_forward(kind, stack, params)
+        # independent pipeline: loop pool, row 0, loop attention, loop classify
+        pooled = pool_oracle([y.data for y in stack.activations[-kind.k:]], pool) \
+            if pool else stack.activations[-1].data
+        rep = mha_head_oracle(pooled[0:1], pooled, params, stack.mask, h=2) \
+            if kind.uses_attention else pooled[0]
         want = rep @ params.w_cls.data + params.b_cls.data
         assert np.allclose(got.data, [want], atol=1e-10)
+
+    @pytest.mark.parametrize("spec", ["maxcls:k=3", "maxseq+mha:k=3,h=2"])
+    def test_k_beyond_the_stack_raises(self, spec):
+        stack = random_stack(np.random.default_rng(25), n_layers=2, d=8)
+        with pytest.raises(SliceError):
+            aggregate(parse_head_spec(spec), stack, make_params(np.random.default_rng(0)))
 
     def test_params_mismatch_raises(self):
         stack = random_stack(np.random.default_rng(25), d=8)
@@ -412,6 +409,17 @@ class TestHeadSpecStrings:
         with pytest.raises(ConfigurationError) as exc:
             parse_head_spec("fancy")
         assert "baseline" in str(exc.value) and "maxseq+mha" in str(exc.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=24) | st.from_regex(
+        r" ?(baseline|maxcls|mha|maxseq\+mha|meanseq\+mha|normseq\+mha)"
+        r"(:[ hkx]{0,2}=?-?[0-9]{0,3}(,[hk]=[0-9a]{0,2})*)? ?", fullmatch=True))
+    def test_random_spec_parses_or_fails_cleanly(self, spec):
+        try:
+            kind = parse_head_spec(spec)
+        except ConfigurationError:
+            return
+        assert parse_head_spec(kind.spec()) == kind
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigurationError):

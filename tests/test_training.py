@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clspool import arraycore as ac
 from clspool.arraycore import Array, backward, grad_check
 from clspool.data import SyntheticTaskSpec, gen_synthetic
 from clspool.encoder import EncoderConfig
@@ -19,7 +20,6 @@ from clspool.training import (
     TrainingError,
     adamw_step,
     build_model,
-    cross_entropy,
     evaluate,
     load_checkpoint,
     lr_at_step,
@@ -119,11 +119,11 @@ class TestAdamW:
 class TestLosses:
     def test_uniform_logits(self):
         for c in (2, 5):
-            loss = cross_entropy(Array(np.zeros((1, c))), 0)
+            loss = ac.cross_entropy_mean(Array(np.zeros((1, c))), [0])
             assert abs(loss.item() - math.log(c)) < 1e-12
 
     def test_saturation(self):
-        loss = cross_entropy(Array(np.array([[1000.0, 0.0]])), 0)
+        loss = ac.cross_entropy_mean(Array(np.array([[1000.0, 0.0]])), [0])
         assert loss.item() < 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -132,9 +132,21 @@ class TestLosses:
         labels = np.array([0, 3, 1])
 
         def f():
-            return cross_entropy(logits, labels)
+            return ac.cross_entropy_mean(logits, labels)
 
         assert grad_check(f, [logits], step=1e-5) < 1e-8
+
+    def test_batch_logits_keep_their_singleton_row_axis(self):
+        # a head emits (B, 1, C) logits; both losses read them as B rows
+        rng = np.random.default_rng(1)
+        logits = rng.normal(size=(3, 1, 4))
+        labels = np.array([0, 3, 1])
+        batched = ac.cross_entropy_mean(Array(logits), labels)
+        assert batched.item() == ac.cross_entropy_mean(Array(logits[:, 0]), labels).item()
+        preds, targets = Array(logits[..., :1].copy()), np.array([0.5, -1.0, 2.0])
+        backward(ac.squared_error_mean(preds, targets))
+        assert preds.grad.shape == (3, 1, 1)
+        assert np.allclose(preds.grad[:, 0, 0], 2.0 * (logits[:, 0, 0] - targets) / 3)
 
 
 class TestConfigChecks:
