@@ -89,8 +89,8 @@ class Array:
     """Shape-carrying numeric tensor with an optional gradient buffer.
 
     ``data`` is a float32 or float64 ndarray (float64 in test/grad-check mode,
-    float32 in train mode). ``grad`` is allocated lazily during backward and
-    always matches ``data`` in shape.
+    float32 in train mode). ``grad`` is allocated lazily during backward (or is
+    an optimizer's view) and always matches ``data`` in shape.
     """
 
     __slots__ = ("data", "grad", "node")

@@ -15,11 +15,13 @@ over the pooled sequence, and classifies. Six kinds are supported:
 * ``normseq+mha``   - same, but per position keep the layer vector with the
                       largest L2 norm instead of the element-wise max
 
-Every pool works position by position, so taking the [CLS] row after pooling
-gives what pooling the [CLS] rows alone would. Every head ends in a plain
-linear classifier (no activation). The extra attention layer has no residual,
-layer norm, bias, or feed-forward: it is a bare attention block so the
-comparison between kinds stays clean.
+Every pool works position by position, so pooling the [CLS] rows alone gives
+the [CLS] row of the pooled sequence: a kind that does not attend slices that
+row from the stacked layers before it pools, and a kind that attends pools
+every row and slices after. Every head ends in a plain linear classifier (no
+activation). The extra attention layer has no residual, layer norm, bias, or
+feed-forward: it is a bare attention block so the comparison between kinds
+stays clean.
 """
 
 from __future__ import annotations
@@ -219,7 +221,10 @@ def aggregate(kind: HeadKind, stack: LayerStack, params: HeadParams) -> Array:
         if not 1 <= kind.k <= stack.num_layers:
             raise SliceError(f"head '{kind.spec()}': k={kind.k} out of range "
                              f"[1, {stack.num_layers}]")
-        rows = getattr(ac, recipe.pool)(ac.stack_axis0(stack.activations[-kind.k:]))
+        stacked = ac.stack_axis0(stack.activations[-kind.k:])
+        if not recipe.attends:  # only the [CLS] row is kept: pool that row alone
+            return getattr(ac, recipe.pool)(ac.slice_rows(stacked, 0, 1))
+        rows = getattr(ac, recipe.pool)(stacked)
     cls = ac.slice_rows(rows, 0, 1)
     if recipe.attends:
         return cls_attend(cls, rows, params, stack.mask, kind.num_heads)

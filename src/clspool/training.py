@@ -24,7 +24,7 @@ import numpy as np
 
 from . import arraycore as ac
 from .arraycore import Array
-from .data import Example, PAD_ID
+from .data import Example, PAD_ID, SchemaError
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder_params
 from .heads import HeadKind, HeadParams, head_forward, init_head_params, parse_head_spec
 from .metrics import accuracy, f1_binary, matthews_corr, spearman_rho_flagged
@@ -51,6 +51,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 1.0
+MAX_CLASSES = 10_000  # cross_entropy class labels must lie in [0, MAX_CLASSES)
 
 CHECKPOINT_MAGIC = b"MPBT"
 CHECKPOINT_VERSION = 1
@@ -104,11 +105,41 @@ def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return peak * (total_steps - step) / (total_steps - warmup)
 
 
-@dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
+    """AdamW state over one flat buffer holding every parameter it updates.
+
+    Binding copies the parameters' values and gradients into ``data`` and
+    ``grad``, decayed parameters first, and makes each Array's .data and .grad
+    a view of its slice, so backward accumulates straight into ``grad``."""
+
+    def __init__(self):
+        self.step = 0
+        self.slots: list[tuple[Array, np.ndarray, np.ndarray, slice]] = []  # caller's order
+
+    def bind(self, named_params: list[tuple[str, Array]]) -> None:
+        """Lay the parameters out on first use; later, copy back in any .data
+        or .grad rebound away from its view (a None gradient counts as zero)."""
+        if not self.slots:
+            exempt = [_decay_exempt(name) for name, _ in named_params]
+            self.n_decay = sum(p.size for (_, p), skip in zip(named_params, exempt) if not skip)
+            self.data = np.empty(sum(p.size for _, p in named_params),
+                                 dtype=named_params[0][1].dtype)
+            self.grad, self.m, self.v = (np.zeros_like(self.data) for _ in range(3))
+            free = [0, self.n_decay]  # next offset in the decayed and in the exempt region
+            for (_, p), skip in zip(named_params, exempt):
+                span = slice(free[skip], free[skip] + p.size)
+                free[skip] += p.size
+                self.slots.append((p, self.data[span].reshape(p.shape),
+                                   self.grad[span].reshape(p.shape), span))
+        elif [p for _, p in named_params] != [slot[0] for slot in self.slots]:
+            raise TrainingError("optimizer state is bound to other parameters")
+        for p, data, grad, _ in self.slots:
+            if p.data is not data:
+                data[...] = p.data
+                p.data = data
+            if p.grad is not grad:
+                grad[...] = 0 if p.grad is None else p.grad
+                p.grad = grad
 
 
 def _decay_exempt(name: str) -> bool:
@@ -119,45 +150,35 @@ def _decay_exempt(name: str) -> bool:
 
 def adamw_step(named_params: list[tuple[str, Array]], state: OptimizerState,
                lr: float, weight_decay: float) -> None:
-    """Bias-corrected Adam update plus decoupled weight decay, in place.
-
-    Consumes and clears each parameter's .grad. Raises TrainingError on
-    non-finite gradients.
-    """
+    """Bias-corrected Adam update plus decoupled weight decay, in place, in a few
+    whole-buffer ops. Consumes and zeroes the gradients. Raises TrainingError on
+    a non-finite gradient, naming the first parameter that has one."""
+    state.bind(named_params)
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in named_params:
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for '{name}' at optimizer step {t}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.data -= lr * update
-        if weight_decay != 0.0 and not _decay_exempt(name):
-            p.data -= lr * weight_decay * p.data
-        p.grad = None
+    g, m, v, data = state.grad, state.m, state.v, state.data
+    if not np.all(np.isfinite(g)):
+        name = next(name for name, p in named_params if not np.all(np.isfinite(p.grad)))
+        raise TrainingError(f"non-finite gradient for '{name}' at optimizer step {t}")
+    m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    data -= lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
+    if weight_decay != 0.0:
+        data[:state.n_decay] -= lr * weight_decay * data[:state.n_decay]
+    g[:] = 0
 
 
-def _clip_global_norm(named_params: list[tuple[str, Array]], max_norm: float) -> float:
-    total = 0.0
-    for _, p in named_params:
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = np.sqrt(total)
+def _clip_global_norm(named_params: list[tuple[str, Array]], state: OptimizerState,
+                      max_norm: float) -> float:
+    # float64 squares summed per tensor in the caller's order: one sum over the
+    # whole buffer rounds differently and would move every clipped step
+    state.bind(named_params)
+    squares = np.square(state.grad, dtype=np.float64)
+    norm = np.sqrt(sum(float(squares[span].sum()) for *_, span in state.slots))
     if norm > max_norm:
-        scale = max_norm / norm
-        for _, p in named_params:
-            if p.grad is not None:
-                p.grad *= scale
+        state.grad *= max_norm / norm
     return float(norm)
 
 
@@ -249,6 +270,11 @@ def _infer_n_classes(cfg: TrainConfig, train_set, eval_set) -> int:
     labels = [ex.label for ex in train_set] + [ex.label for ex in eval_set]
     if not all(isinstance(lab, (int, np.integer)) for lab in labels):
         raise TrainingError("cross_entropy training needs integer labels")
+    for i, lab in enumerate(labels):  # the classifier has max(labels) + 1 columns
+        if lab >= MAX_CLASSES:
+            where = f"training example {i + 1}" if i < len(train_set) \
+                else f"eval example {i - len(train_set) + 1}"
+            raise SchemaError(f"{where}: class label {lab} is not below {MAX_CLASSES}")
     return max(2, max(labels) + 1)
 
 
@@ -283,13 +309,13 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch + 1}, step {global_step + 1}")
                 ac.backward(loss)
-                _clip_global_norm(named, CLIP_NORM)
+                _clip_global_norm(named, opt, CLIP_NORM)
                 lr = lr_at_step(global_step, total_steps, cfg)
                 adamw_step(named, opt, lr, cfg.weight_decay)
                 global_step += 1
     # the loss check above runs before each update, so none sees the last one
-    diverged = [name for name, p in named if not np.all(np.isfinite(p.data))]
-    if diverged:
+    if not np.all(np.isfinite(opt.data)):
+        diverged = [name for name, p in named if not np.all(np.isfinite(p.data))]
         raise TrainingError(f"non-finite values in {len(diverged)} of {len(named)} "
                             f"parameters after training (first: '{diverged[0]}')")
 

@@ -1,10 +1,15 @@
-"""Brute-force metric oracles the tests check the real implementations against.
+"""Brute-force oracles the tests check the real implementations against.
 
 Everything here is deliberately written as explicit loops over confusion-matrix
-cells and rank lists, independent of the package's metric code paths.
+cells, rank lists and parameters, independent of the package's code paths.
 """
 
 import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from clspool.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingError, _decay_exempt
 
 
 def confusion_oracle(preds, labels):
@@ -63,3 +68,52 @@ def spearman_oracle(x, y):
     if vx == 0 or vy == 0:
         return 0.0
     return cov / math.sqrt(vx * vy)
+
+
+# The per-parameter AdamW step and global-norm clip that the flat-buffer
+# optimizer replaced, kept verbatim: one loop iteration per parameter, moments
+# keyed by name, gradients released (.grad = None) after each step.
+
+@dataclass
+class OptimizerStateOracle:
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int = 0
+
+
+def adamw_step_oracle(named_params, state, lr, weight_decay):
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name, p in named_params:
+        g = p.grad
+        if g is None:
+            g = np.zeros_like(p.data)
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient for '{name}' at optimizer step {t}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p.data -= lr * update
+        if weight_decay != 0.0 and not _decay_exempt(name):
+            p.data -= lr * weight_decay * p.data
+        p.grad = None
+
+
+def clip_global_norm_oracle(named_params, max_norm):
+    total = 0.0
+    for _, p in named_params:
+        if p.grad is not None:
+            total += float((p.grad.astype(np.float64) ** 2).sum())
+    norm = np.sqrt(total)
+    if norm > max_norm:
+        scale = max_norm / norm
+        for _, p in named_params:
+            if p.grad is not None:
+                p.grad *= scale
+    return float(norm)

@@ -107,6 +107,16 @@ class TestExitCodes:
         assert "line 3" in capsys.readouterr().err
 
 
+    def test_class_label_beyond_bound_is_usage_error(self, tmp_path, capsys):
+        # the classifier would need 10**12 columns: refused before any allocation
+        rows = [{"tokens": [5, 6], "label": 10 ** 12 if i == 1 else i % 2} for i in range(8)]
+        rc = run_cli("train", "--data", _write_jsonl(tmp_path / "tr.jsonl", rows),
+                     "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", rows[:2]), *TINY,
+                     "--head", "baseline", "--seed", "1", "--out", str(tmp_path))
+        assert rc == 2
+        assert "training example 2: class label 1000000000000" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_writes_metrics_and_checkpoint(self, tmp_path, capsys):
         rc = run_cli("train", "--task", "pattern", *TINY,

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from clspool import arraycore as ac
 from clspool.arraycore import Array, backward, grad_check
-from clspool.data import SyntheticTaskSpec, gen_synthetic
+from clspool.data import Example, SchemaError, SyntheticTaskSpec, gen_synthetic, load_jsonl
 from clspool.encoder import EncoderConfig
 from clspool.heads import HeadKind, parse_head_spec
 from clspool.training import (
+    CLIP_NORM,
+    MAX_CLASSES,
     CheckpointError,
     OptimizerState,
     TrainConfig,
@@ -28,6 +30,8 @@ from clspool.training import (
     save_checkpoint,
     train,
 )
+from clspool.training import _batch_loss, _clip_global_norm, _decay_exempt, _infer_n_classes
+from oracles import OptimizerStateOracle, adamw_step_oracle, clip_global_norm_oracle
 
 
 def small_cfg(head=None, seed=0, lr=1e-3, epochs=2, dropout=0.0, batch_size=16,
@@ -114,6 +118,110 @@ class TestAdamW:
         with pytest.raises(TrainingError) as exc:
             adamw_step([("w", p)], OptimizerState(), lr=0.1, weight_decay=0.0)
         assert "step 1" in str(exc.value)
+
+
+class TestFlatOptimizer:
+    """One flat buffer per state: parameters and gradients are views into it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_parameter_oracle(self, dtype):
+        # model vocab 40 over data drawn from 30 ids: tok_emb rows 30-39 get
+        # all-zero gradients; dropout and weight decay are on. In float64 the
+        # last bit of the clip norm reaches the parameters.
+        cfg = small_cfg(head=parse_head_spec("maxseq+mha:k=2,h=2"), lr=3e-3,
+                        dropout=0.1, vocab=40)
+        train_set, _ = small_task(train_size=96, eval_size=8)
+        flat, ref = build_model(cfg, 2, dtype), build_model(cfg, 2, dtype)
+        state, ref_state = OptimizerState(), OptimizerStateOracle()
+        rng_flat, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        steps, norms = 12, []
+        for step in range(steps):
+            batch = train_set[8 * step:8 * step + 8]
+            lr = lr_at_step(step + 1, steps, cfg)
+            backward(_batch_loss(ref, batch, "cross_entropy", 0.1, rng_ref))
+            norms.append(clip_global_norm_oracle(ref.named_parameters(), CLIP_NORM))
+            adamw_step_oracle(ref.named_parameters(), ref_state, lr, cfg.weight_decay)
+            backward(_batch_loss(flat, batch, "cross_entropy", 0.1, rng_flat))
+            assert not flat.enc.tok_emb.grad[30:].any()
+            assert _clip_global_norm(flat.named_parameters(), state, CLIP_NORM) == norms[-1]
+            adamw_step(flat.named_parameters(), state, lr, cfg.weight_decay)
+        assert max(norms) > CLIP_NORM  # clipping fired
+        for (name, p), (_, q) in zip(flat.named_parameters(), ref.named_parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+
+    def test_layout_is_views_with_decayed_parameters_first(self):
+        named = build_model(small_cfg(head=parse_head_spec("mha:h=2")), 2).named_parameters()
+        state = OptimizerState()
+        state.bind(named)
+        assert state.n_decay == sum(p.size for n, p in named if not _decay_exempt(n))
+        assert state.data.size == sum(p.size for _, p in named)
+        for (name, p), (q, _, _, span) in zip(named, state.slots):
+            assert q is p
+            assert (span.start >= state.n_decay) == _decay_exempt(name), name
+            assert np.shares_memory(p.data, state.data[span])
+            assert np.shares_memory(p.grad, state.grad[span])
+
+    def test_nonfinite_grad_in_third_parameter_is_named(self):
+        named = [(name, Array(np.ones(2))) for name in ("a.w", "b.w", "c.w", "d.bias")]
+        state = OptimizerState()
+        for _, p in named:
+            p.grad = np.ones(2)
+        adamw_step(named, state, lr=0.1, weight_decay=0.01)
+        for _, p in named:
+            p.grad[:] = 1.0
+        named[2][1].grad[1] = np.inf
+        before = state.data.copy()
+        with pytest.raises(TrainingError, match=r"'c\.w' at optimizer step 2"):
+            adamw_step(named, state, lr=0.1, weight_decay=0.01)
+        assert state.data.tobytes() == before.tobytes()  # no parameter moved
+
+    def test_rebound_gradient_is_copied_in(self):
+        # zero_grad() then backward leaves .grad a fresh array, not the view
+        cfg = small_cfg()
+        batch = small_task(train_size=16, eval_size=8)[0][:8]
+        models = build_model(cfg, 2), build_model(cfg, 2)
+        states = OptimizerState(), OptimizerState()
+        for step in range(3):
+            for model, state in zip(models, states):
+                if step > 0 and model is models[0]:
+                    for _, p in model.named_parameters():
+                        p.zero_grad()
+                backward(_batch_loss(model, batch, "cross_entropy"))
+                adamw_step(model.named_parameters(), state, 1e-3, 0.01)
+        for (name, p), (_, q) in zip(*(m.named_parameters() for m in models)):
+            assert p.data.tobytes() == q.data.tobytes(), name
+            assert np.shares_memory(p.grad, states[0].grad), name
+
+    def test_rebound_data_is_copied_in(self):
+        p = Array(np.array([1.0, 2.0]))
+        state = OptimizerState()
+        adamw_step([("w", p)], state, lr=0.1, weight_decay=0.0)
+        p.data = np.array([5.0, 6.0])
+        adamw_step([("w", p)], state, lr=0.1, weight_decay=0.0)
+        assert np.shares_memory(p.data, state.data)
+        assert state.data.tolist() == [5.0, 6.0]  # zero gradient: the new values stay
+
+    def test_state_refuses_other_parameters(self):
+        state = OptimizerState()
+        adamw_step([("w", Array(np.ones(1)))], state, lr=0.1, weight_decay=0.0)
+        with pytest.raises(TrainingError, match="other parameters"):
+            adamw_step([("w", Array(np.ones(1)))], state, lr=0.1, weight_decay=0.0)
+
+
+class TestClassLabelBound:
+    def test_label_at_bound_is_refused_through_load_jsonl(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"tokens":[5],"label":0}\n{"tokens":[6],"label":%d}\n'
+                        % MAX_CLASSES, encoding="utf-8")
+        examples = load_jsonl(path)
+        with pytest.raises(SchemaError, match=f"training example 2: class label {MAX_CLASSES}"):
+            train(small_cfg(epochs=1), examples, examples[:1])
+        with pytest.raises(SchemaError, match="eval example 2"):
+            train(small_cfg(epochs=1), examples[:1], examples)
+
+    def test_label_below_bound_sizes_the_classifier(self):
+        top = Example(token_ids=[1, 5], label=MAX_CLASSES - 1)
+        assert _infer_n_classes(small_cfg(), [top], [top]) == MAX_CLASSES
 
 
 class TestLosses:
