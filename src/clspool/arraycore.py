@@ -27,6 +27,7 @@ __all__ = [
     "zeros",
     "backward",
     "set_debug_checks",
+    "no_grad",
     "matmul",
     "add",
     "add_vec",
@@ -53,11 +54,25 @@ MASK_PENALTY = -1e9
 # When enabled, every op output is scanned for NaN/Inf right after the
 # forward computation. Off by default: the scan costs a full pass per op.
 _debug_checks = False
+_recording = True  # cleared inside no_grad: ops then attach no graph node
 
 
 def set_debug_checks(enabled: bool) -> None:
     global _debug_checks
     _debug_checks = bool(enabled)
+
+
+class no_grad:
+    """Context manager: ops inside the block attach no graph node, so what they
+    save for backward dies when they return. Debug checks still run."""
+
+    def __enter__(self) -> None:
+        global _recording
+        self._was_recording, _recording = _recording, False
+
+    def __exit__(self, *exc) -> None:
+        global _recording
+        _recording = self._was_recording
 
 
 class ShapeError(ValueError):
@@ -138,7 +153,7 @@ def zeros(shape, dtype=np.float64) -> Array:
 def _make(op: str, out_data: np.ndarray, inputs: tuple[Array, ...], bwd) -> Array:
     if _debug_checks and not np.all(np.isfinite(out_data)):
         raise EvaluationError(f"non-finite values in output of op '{op}'")
-    return Array(out_data, node=Node(op, inputs, bwd))
+    return Array(out_data, node=Node(op, inputs, bwd) if _recording else None)
 
 
 class Tape:
@@ -372,9 +387,13 @@ _GELU_A = 0.044715
 def gelu(x: Array) -> Array:
     """Tanh-form GELU; the backward is the exact derivative of this form."""
     x2 = x.data * x.data  # x ** 3 would take numpy's pow path, 100x slower on float32
-    u = _GELU_C * (x.data + _GELU_A * (x2 * x.data))
-    t = np.tanh(u)
-    out = 0.5 * x.data * (1.0 + t)
+    t = x2 * x.data  # then in place, in the order of 0.5*x * (1 + tanh(C*(x + A*(x2*x))))
+    t *= _GELU_A
+    t += x.data
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x.data
+    out *= 1.0 + t
 
     def bwd(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
@@ -444,9 +463,12 @@ def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
     c = 1.0 / math.sqrt(d // num_heads)  # a Python float: float32 data stays float32
     qh, kh, vh = (_split_heads(x.data, num_heads) for x in (q, k, v))
     penalty = ((1.0 - m) * MASK_PENALTY)[..., None, None, :]
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * c + penalty
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = qh @ np.swapaxes(kh, -1, -2)  # scores, then softmax in place: same order, same bits
+    p *= c
+    p += penalty
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     if probs_out is not None:
         probs_out.append(p)
 

@@ -175,8 +175,8 @@ def _clip_global_norm(named_params: list[tuple[str, Array]], state: OptimizerSta
     # float64 squares summed per tensor in the caller's order: one sum over the
     # whole buffer rounds differently and would move every clipped step
     state.bind(named_params)
-    squares = np.square(state.grad, dtype=np.float64)
-    norm = np.sqrt(sum(float(squares[span].sum()) for *_, span in state.slots))
+    norm = np.sqrt(sum(float(np.square(state.grad[span], dtype=np.float64).sum())
+                       for *_, span in state.slots))
     if norm > max_norm:
         state.grad *= max_norm / norm
     return float(norm)
@@ -238,7 +238,8 @@ def evaluate(model: Model, dataset: list[Example], batch_size: int = 64) -> dict
     for lo in range(0, len(dataset), batch_size):
         batch = dataset[lo:lo + batch_size]
         ids, mask, batch_labels = pad_batch(batch)
-        logits = model.forward(ids, mask).data.reshape(len(batch), model.n_classes)
+        with ac.no_grad():
+            logits = model.forward(ids, mask).data.reshape(len(batch), model.n_classes)
         if model.n_classes == 1:
             preds.extend(float(x) for x in logits[:, 0])
         else:
@@ -312,6 +313,7 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],
                 _clip_global_norm(named, opt, CLIP_NORM)
                 lr = lr_at_step(global_step, total_steps, cfg)
                 adamw_step(named, opt, lr, cfg.weight_decay)
+                del loss  # frees this step's graph before the next forward builds one
                 global_step += 1
     # the loss check above runs before each update, so none sees the last one
     if not np.all(np.isfinite(opt.data)):

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from clspool.arraycore import MASK_PENALTY
 from clspool.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingError, _decay_exempt
 
 
@@ -117,3 +118,50 @@ def clip_global_norm_oracle(named_params, max_norm):
             if p.grad is not None:
                 p.grad *= scale
     return float(norm)
+
+
+# The gelu and attention kernels as they were before their forwards moved in
+# place: one fresh array per expression. The in-place kernels must match them
+# bit for bit, forward and backward.
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
+def gelu_oracle(x, g):
+    """(gelu(x), g * gelu'(x)) by the out-of-place expressions."""
+    x2 = x * x
+    u = _GELU_C * (x + _GELU_A * (x2 * x))
+    t = np.tanh(u)
+    out = 0.5 * x * (1.0 + t)
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
+    return out, g * dy
+
+
+def _split_heads(x, h):
+    *lead, t, d = x.shape
+    return np.ascontiguousarray(np.swapaxes(x.reshape(*lead, t, h, d // h), -2, -3))
+
+
+def _merge_heads(x):
+    *lead, h, t, dh = x.shape
+    return np.swapaxes(x, -2, -3).reshape(*lead, t, h * dh)
+
+
+def attention_oracle(q, k, v, mask, num_heads, g):
+    """(output, weights, (dq, dk, dv)) of multi-head attention, with the
+    softmax taken out of place."""
+    c = 1.0 / math.sqrt(q.shape[-1] // num_heads)
+    m = np.asarray(mask, dtype=q.dtype)
+    qh, kh, vh = (_split_heads(x, num_heads) for x in (q, k, v))
+    penalty = ((1.0 - m) * MASK_PENALTY)[..., None, None, :]
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * c + penalty
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    gh = _split_heads(g, num_heads)
+    dp = gh @ np.swapaxes(vh, -1, -2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+    grads = (_merge_heads(ds @ kh), _merge_heads(np.swapaxes(ds, -1, -2) @ qh),
+             _merge_heads(np.swapaxes(p, -1, -2) @ gh))
+    return _merge_heads(p @ vh), p, grads

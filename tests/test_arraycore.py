@@ -12,6 +12,7 @@ from clspool.arraycore import (
     backward,
     grad_check,
 )
+from oracles import attention_oracle, gelu_oracle
 
 
 def matmul_oracle(a, b):
@@ -528,3 +529,114 @@ def test_tape_visits_each_node_once():
     assert len(tape.nodes) == 2
     backward(z)
     assert x.grad.tolist() == [4.0]
+
+
+def _one_call_per_op(rng):
+    """op name -> a call of that op on small random float64 inputs."""
+    x, y = array(rng.normal(size=(3, 4))), array(rng.normal(size=(3, 4)))
+    w, v = array(rng.normal(size=(4, 4))), array(rng.normal(size=4))
+    theta = array(rng.normal(size=(2, 3, 4)))
+    keys = array(rng.normal(size=(2, 3, 4)))
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    return {
+        "matmul": lambda: ac.matmul(x, w),
+        "add": lambda: ac.add(x, y),
+        "add_vec": lambda: ac.add_vec(x, v),
+        "slice_rows": lambda: ac.slice_rows(x, 0, 2),
+        "stack_axis0": lambda: ac.stack_axis0([x, y]),
+        "max_over_axis0": lambda: ac.max_over_axis0(theta),
+        "mean_over_axis0": lambda: ac.mean_over_axis0(theta),
+        "select_max_norm_axis0": lambda: ac.select_max_norm_axis0(theta),
+        "layer_norm": lambda: ac.layer_norm(x, v, v),
+        "gelu": lambda: ac.gelu(x),
+        "dropout": lambda: ac.dropout(x, 0.5, np.random.default_rng(0)),
+        "mask_rows": lambda: ac.mask_rows(x, np.array([1.0, 0.0, 1.0])),
+        "attention": lambda: ac.attention(keys, keys, keys, mask, 2),
+        "embed_lookup": lambda: ac.embed_lookup(w, np.array([0, 3, 3])),
+        "sum_all": lambda: ac.sum_all(x),
+        "cross_entropy_mean": lambda: ac.cross_entropy_mean(x, np.array([0, 3, 1])),
+        "squared_error_mean": lambda: ac.squared_error_mean(x, np.zeros(12)),
+    }
+
+
+class TestNoGrad:
+    def test_every_op_records_no_node_inside_the_block(self):
+        calls = _one_call_per_op(np.random.default_rng(8))
+        assert set(calls) == {name for name in ac.__all__
+                              if inspect.isfunction(getattr(ac, name)) and name not in NOT_OPS}
+        for name, call in calls.items():
+            assert call().node.op == name
+            with ac.no_grad():
+                out = call()
+            assert out.node is None, name
+            assert out.data.tobytes() == call().data.tobytes(), name
+
+    def test_recording_resumes_after_the_block_even_when_it_raises(self):
+        x = array([1.0])
+        with ac.no_grad():
+            with ac.no_grad():
+                pass
+            assert ac.add(x, x).node is None  # an inner block keeps the outer one off
+        assert ac.add(x, x).node is not None
+        with pytest.raises(ShapeError):
+            with ac.no_grad():
+                ac.add(x, array([1.0, 2.0]))
+        assert ac.add(x, x).node is not None
+
+    def test_backward_from_an_unrecorded_result_reaches_no_leaf(self):
+        rng = np.random.default_rng(2)
+        x, w = array(rng.normal(size=(3, 4))), array(rng.normal(size=(4, 4)))
+        with ac.no_grad():
+            root = ac.sum_all(ac.gelu(ac.matmul(x, w)))
+        backward(root)
+        assert x.grad is None and w.grad is None
+
+    def test_debug_checks_still_run(self):
+        ac.set_debug_checks(True)
+        try:
+            with ac.no_grad(), pytest.raises(ac.EvaluationError, match="'add'"):
+                ac.add(array([np.inf]), array([0.0]))
+        finally:
+            ac.set_debug_checks(False)
+
+
+class TestInPlaceKernels:
+    """gelu's and attention's forwards work in place; every bit stays as the
+    out-of-place expressions in tests/oracles.py give it."""
+
+    def test_gelu_matches_out_of_place_expressions_bitwise(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.normal(0.0, 3.0, 3000), rng.uniform(-1e3, 1e3, 2000),
+                            rng.uniform(-12.0, -8.0, 1000), rng.uniform(-4e-38, 4e-38, 1000),
+                            [0.0, -0.0, 1e-30, -88.0]])  # tiny x: 0.5 * x is subnormal
+        x = x.astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        want, want_grad = gelu_oracle(x, g)
+        leaf = ac.Array(x.copy())
+        out = ac.gelu(leaf)
+        backward(out, seed=g)
+        assert out.data.tobytes() == want.tobytes()
+        assert leaf.grad.tobytes() == want_grad.tobytes()
+        assert leaf.data.tobytes() == x.tobytes()  # the input is never written
+
+    @pytest.mark.parametrize("lead,tq,t,h", [((4,), 6, 6, 2), ((3,), 1, 7, 4)])
+    def test_attention_matches_out_of_place_softmax_bitwise(self, lead, tq, t, h):
+        rng = np.random.default_rng(12)
+        q = (rng.normal(size=lead + (tq, 8)) * 30.0).astype(np.float32)  # peaked rows
+        k, v = (rng.normal(size=lead + (t, 8)).astype(np.float32) for _ in range(2))
+        mask = (rng.random(lead + (t,)) > 0.4).astype(np.float64)
+        mask[..., 0] = 1.0
+        g = rng.normal(size=lead + (tq, 8)).astype(np.float32)
+        want, want_p, want_grads = attention_oracle(q, k, v, mask, h, g)
+        leaves = [ac.Array(a.copy()) for a in (q, k, v)]
+        probs = []
+        out = ac.attention(*leaves, mask, h, probs_out=probs)
+        backward(out, seed=g)
+        assert out.data.tobytes() == want.tobytes()
+        assert probs[0].tobytes() == want_p.tobytes()
+        for leaf, want_grad in zip(leaves, want_grads):
+            assert leaf.grad.tobytes() == want_grad.tobytes()
+        with ac.no_grad():  # the weights are still handed out without a tape
+            probs_ng = []
+            ac.attention(*leaves, mask, h, probs_out=probs_ng)
+        assert probs_ng[0].tobytes() == want_p.tobytes()

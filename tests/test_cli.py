@@ -153,6 +153,32 @@ class TestTrainCommand:
         assert rc == 0
         assert json.loads(capsys.readouterr().out.strip())["metrics"] == train_metrics
 
+    def test_integer_train_labels_beside_real_eval_labels_train_a_regressor(
+            self, tmp_path, capsys):
+        # the loss is chosen from both files: one real label makes every
+        # label a target, so 20000 is no class label and not out of range
+        train_rows = [{"tokens": [5, 6, i % 7], "label": 20000 if i == 1 else i}
+                      for i in range(8)]
+        eval_rows = [{"tokens": [5, 6, i], "label": i + 0.5} for i in range(4)]
+        rc = run_cli("train", "--data", _write_jsonl(tmp_path / "tr.jsonl", train_rows),
+                     "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", eval_rows),
+                     *TINY, "--head", "baseline", "--seed", "1", "--out", str(tmp_path))
+        assert rc == 0
+        assert set(json.loads(capsys.readouterr().out.strip())) == {"spearman"}
+
+    def test_eval_of_a_regressor_takes_large_integer_targets(self, tmp_path, capsys):
+        real = [{"tokens": [5, 6, i % 7], "label": i + 0.5} for i in range(8)]
+        data = _write_jsonl(tmp_path / "tr.jsonl", real)
+        run_cli("train", "--data", data, "--eval-data", data, *TINY,
+                "--head", "baseline", "--seed", "1", "--out", str(tmp_path))
+        capsys.readouterr()
+        whole = [{"tokens": [5, 6, i % 7], "label": 10000 * i} for i in range(8)]
+        rc = run_cli("eval", "--ckpt", str(tmp_path / "baseline__seed1.ckpt"),
+                     "--data", data, "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", whole),
+                     *TINY)
+        assert rc == 0
+        assert set(json.loads(capsys.readouterr().out.strip())["metrics"]) == {"spearman"}
+
 
 class TestCompareCommand:
     def test_tables_and_delta_recompute(self, tmp_path, capsys):

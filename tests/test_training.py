@@ -30,7 +30,13 @@ from clspool.training import (
     save_checkpoint,
     train,
 )
-from clspool.training import _batch_loss, _clip_global_norm, _decay_exempt, _infer_n_classes
+from clspool.training import (
+    Model,
+    _batch_loss,
+    _clip_global_norm,
+    _decay_exempt,
+    _infer_n_classes,
+)
 from oracles import OptimizerStateOracle, adamw_step_oracle, clip_global_norm_oracle
 
 
@@ -496,3 +502,57 @@ class TestEvaluate:
         model = build_model(cfg, n_classes=1)
         metrics = evaluate(model, eval_set)
         assert set(metrics) == {"spearman"}
+
+
+class TestGraphLifetime:
+    """evaluate records no graph; train frees each step's graph before the
+    next forward builds one."""
+
+    HEADS = ("baseline", "maxcls:k=2", "mha:h=2", "maxseq+mha:k=2,h=2",
+             "meanseq+mha:k=2,h=2", "normseq+mha:k=2,h=2")
+
+    @pytest.mark.parametrize("spec", HEADS)
+    def test_evaluate_logits_match_a_recorded_forward_bitwise(self, spec):
+        _, eval_set = small_task(train_size=8, eval_size=40)
+        model = build_model(small_cfg(head=parse_head_spec(spec)), 2)
+        seen = []
+
+        def forward(ids, mask):
+            out = Model.forward(model, ids, mask)
+            seen.append((ids, mask, out))
+            return out
+
+        model.forward = forward
+        evaluate(model, eval_set, batch_size=16)
+        assert len(seen) == 3
+        for ids, mask, out in seen:
+            recorded = Model.forward(model, ids, mask)
+            assert out.node is None and recorded.node is not None
+            assert out.data.tobytes() == recorded.data.tobytes()
+
+    def test_debug_checks_still_catch_a_nan_weight(self):
+        _, eval_set = small_task(train_size=8, eval_size=8)
+        model = build_model(small_cfg(head=parse_head_spec("mha:h=2")), 2)
+        model.head.w_cls.data[0, 0] = np.nan
+        ac.set_debug_checks(True)
+        try:
+            with pytest.raises(ac.EvaluationError, match="non-finite"):
+                evaluate(model, eval_set)
+        finally:
+            ac.set_debug_checks(False)
+
+    def test_no_graph_is_alive_when_a_step_starts(self, monkeypatch):
+        train_set, eval_set = small_task(train_size=40, eval_size=8)
+        cfg = small_cfg(head=parse_head_spec("maxseq+mha:k=2,h=2"), epochs=1,
+                        batch_size=8, dropout=0.1)
+        alive, recorded_forward = [], Model.forward
+
+        def forward(self, *args, **kwargs):
+            alive.append(sum(isinstance(o, ac.Node) for o in gc.get_objects()))
+            return recorded_forward(self, *args, **kwargs)
+
+        gc.collect()
+        monkeypatch.setattr(Model, "forward", forward)
+        train(cfg, train_set, eval_set)
+        assert len(alive) == 5 + 2  # five steps, then the eval and train sets
+        assert alive[1:] == [0] * 6
