@@ -24,7 +24,6 @@ __all__ = [
     "ShapeError",
     "EvaluationError",
     "array",
-    "zeros",
     "backward",
     "set_debug_checks",
     "no_grad",
@@ -144,10 +143,6 @@ class Array:
 def array(data, dtype=np.float64) -> Array:
     """Leaf Array from nested lists / ndarray, copied to a known dtype."""
     return Array(np.array(data, dtype=dtype))
-
-
-def zeros(shape, dtype=np.float64) -> Array:
-    return Array(np.zeros(shape, dtype=dtype))
 
 
 def _make(op: str, out_data: np.ndarray, inputs: tuple[Array, ...], bwd) -> Array:

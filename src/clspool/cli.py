@@ -42,13 +42,14 @@ from .data import (
 )
 from .encoder import EncoderConfig
 from .heads import ConfigurationError, HeadKind, parse_head_spec
-from .metrics import EvalResult, SeedAggregate, aggregate_seeds
+from .metrics import SeedAggregate, aggregate_seeds, check_range
 from .training import (
     Model,
     TrainConfig,
     TrainingError,
     TrainResult,
     build_model,
+    check_class_labels,
     evaluate,
     model_from_checkpoint,
     save_checkpoint,
@@ -180,7 +181,7 @@ def _load_datasets(exp: ExperimentConfig):
         if exp.task not in TASK_PRESETS:
             raise CliError(f"unknown task '{exp.task}'; choose from: "
                            + ", ".join(sorted(TASK_PRESETS)))
-        kind, task_type, _ = TASK_PRESETS[exp.task]
+        kind, task_type = TASK_PRESETS[exp.task]
         spec = SyntheticTaskSpec(kind=kind, vocab_size=exp.vocab_size,
                                  seq_len=(exp.seq_len, exp.seq_len),
                                  train_size=exp.train_size,
@@ -247,13 +248,14 @@ def _run_cell(cell) -> dict:
     return _run_record(task, head_spec, seed, result)
 
 
-def _run_grid(exp: ExperimentConfig, heads: list[str], seeds: list[int],
-              out_dir: Path, subsample_n: int | None = None) -> list[dict]:
-    """All (head, seed) runs in deterministic order; each run's JSON is
-    written as soon as that run is back."""
+def _run_grid(exp: ExperimentConfig, heads: list[str], out_dir: Path,
+              subsample_n: int | None = None, where: str = "") -> tuple[list[RunReport], int]:
+    """All (head, seed) runs in deterministic order, each run's JSON written as
+    soon as it is back and each failed run named on stderr after ``where``.
+    Returns the per-head reports and the grid command's exit code."""
     for spec in heads:
         _train_config(exp, spec, 0, "cross_entropy")  # validate before any run
-    cells = [(exp, spec, seed, subsample_n) for spec in heads for seed in seeds]
+    cells = [(exp, spec, seed, subsample_n) for spec in heads for seed in exp.seeds]
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     records = []
@@ -264,7 +266,11 @@ def _run_grid(exp: ExperimentConfig, heads: list[str], seeds: list[int],
             (runs_dir / name).write_text(json.dumps(record, indent=2, sort_keys=True),
                                          encoding="utf-8")
             records.append(record)
-    return records
+    failed = [r for r in records if "error" in r]
+    for r in failed:
+        print(f"run failed: {where}head={r['head']} seed={r['seed']}: {r['error']}",
+              file=sys.stderr)
+    return build_reports(records, heads), RUNTIME_ERROR if failed else 0
 
 
 def build_reports(records: list[dict], heads: list[str]) -> list[RunReport]:
@@ -280,11 +286,9 @@ def build_reports(records: list[dict], heads: list[str]) -> list[RunReport]:
         per_seed: dict[str, list[float]] = {}   # metric -> values in seed order
         for row in rows:
             for metric, value in row["metrics"].items():
-                EvalResult(metric, value, row.get("n_eval", 0))  # range check
+                check_range(metric, value)
                 per_seed.setdefault(metric, []).append(value)
-        aggregates = {m: aggregate_seeds(vals) if len(vals) > 1
-                      else SeedAggregate(tuple(vals), vals[0], 0.0)
-                      for m, vals in per_seed.items()}
+        aggregates = {m: aggregate_seeds(vals) for m, vals in per_seed.items()}
         reports.append(RunReport(head_spec=spec, aggregates=aggregates))
     base = next((r for r in reports if r.head_spec == BASELINE), None)
     if base is not None:
@@ -358,29 +362,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text(buffer.getvalue(), encoding="utf-8")
 
 
-def write_compare_csv(path: Path, reports: list[RunReport], seeds: list[int]) -> None:
-    cols = _metric_columns(reports)
-    header = ["head", "metric"] + [f"seed_{s}" for s in seeds] + ["mean", "std", "delta"]
+def _csv_rows(reports: list[RunReport]) -> list[list[str]]:
+    """One row per head and metric it has: head, metric, the value of each
+    seed, mean, std, delta (empty without a baseline value)."""
     rows = []
     for r in reports:
-        for m in cols:
-            if m not in r.aggregates:
-                continue
+        for m in _metric_columns([r]):
             agg = r.aggregates[m]
-            delta = r.delta.get(m, "")
-            rows.append([r.head_spec, m] + [repr(v) for v in agg.values]
-                        + [repr(agg.mean), repr(agg.std),
-                           repr(delta) if delta != "" else ""])
-    _write_csv(path, header, rows)
+            delta = repr(r.delta[m]) if m in r.delta else ""
+            rows.append([r.head_spec, m, *map(repr, agg.values), repr(agg.mean),
+                         repr(agg.std), delta])
+    return rows
 
 
-def _report_failures(records: list[dict], where: str = "") -> int:
-    """Name every failed run on stderr; the grid command's exit code."""
-    failed = [r for r in records if "error" in r]
-    for r in failed:
-        print(f"run failed: {where}head={r['head']} seed={r['seed']}: {r['error']}",
-              file=sys.stderr)
-    return RUNTIME_ERROR if failed else 0
+def write_compare_csv(path: Path, reports: list[RunReport], seeds: list[int]) -> None:
+    header = ["head", "metric"] + [f"seed_{s}" for s in seeds] + ["mean", "std", "delta"]
+    _write_csv(path, header, _csv_rows(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +410,7 @@ def cmd_compare(args) -> int:
     if len(exp.heads) < 2:
         raise CliError("compare needs at least two --head values")
     out_dir = Path(exp.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = _run_grid(exp, exp.heads, exp.seeds, out_dir)
-    reports = build_reports(records, exp.heads)
+    reports, status = _run_grid(exp, exp.heads, out_dir)
     mean_table = format_mean_table(reports)
     std_table = format_std_table(reports)
     (out_dir / "compare.txt").write_text(mean_table, encoding="utf-8")
@@ -424,7 +419,7 @@ def cmd_compare(args) -> int:
     print(mean_table)
     print("Seed standard deviations:")
     print(std_table)
-    return _report_failures(records)
+    return status
 
 
 def cmd_ablate_k(args) -> int:
@@ -439,15 +434,13 @@ def cmd_ablate_k(args) -> int:
         raise CliError(f"ablate-k: cannot sweep k for head kind '{base.kind}'")
     heads = [f"{base.kind}:k={k},h={num_heads}" for k in ks]
     out_dir = Path(exp.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = _run_grid(exp, heads, exp.seeds, out_dir)
-    reports = build_reports(records, heads)
+    reports, status = _run_grid(exp, heads, out_dir)
     table = _table("k", 6, [(f"k = {k}", _means(r)) for k, r in zip(ks, reports)],
                    _metric_columns(reports))
     (out_dir / "ablate_k.txt").write_text(table, encoding="utf-8")
     write_compare_csv(out_dir / "ablate_k.csv", reports, exp.seeds)
     print(table)
-    return _report_failures(records)
+    return status
 
 
 def cmd_lowres(args) -> int:
@@ -464,23 +457,17 @@ def cmd_lowres(args) -> int:
                 raise CliError(f"lowres: size must be >= 1, got {value}")
             sizes.append(value)
     out_dir = Path(exp.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     status = 0
     for size in sizes:
         label = "full" if size is None else str(size)
         sub_dir = out_dir / f"size_{label}"
-        records = _run_grid(exp, exp.heads, exp.seeds, sub_dir, subsample_n=size)
-        status = _report_failures(records, f"size={label} ") or status
-        reports = build_reports(records, exp.heads)
+        reports, failed = _run_grid(exp, exp.heads, sub_dir, size, f"size={label} ")
+        status = failed or status
         (sub_dir / "compare.txt").write_text(format_mean_table(reports),
                                              encoding="utf-8")
-        for report in reports:
-            for metric in _metric_columns([report]):
-                agg = report.aggregates[metric]
-                delta = report.delta.get(metric, "")
-                rows.append([label, report.head_spec, metric, repr(agg.mean),
-                             repr(agg.std), repr(delta) if delta != "" else ""])
+        # the compare rows less their per-seed values
+        rows += [[label, *row[:2], *row[-3:]] for row in _csv_rows(reports)]
     _write_csv(out_dir / "lowres.csv", ["size", "head", "metric", "mean", "std", "delta"],
                rows)
     print((out_dir / "lowres.csv").read_text())
@@ -573,6 +560,8 @@ def cmd_eval(args) -> int:
         model, cfg = model_from_checkpoint(args.ckpt)
     exp.vocab_size = cfg.encoder.vocab_size  # generated data must fit the embedding
     _, eval_set, task, _ = _load_datasets(exp)
+    if cfg.loss == "cross_entropy":
+        check_class_labels([], eval_set)
     metrics = evaluate(model, eval_set)
     print(json.dumps({"task": task, "head": cfg.head.spec(), "metrics": metrics},
                      sort_keys=True))

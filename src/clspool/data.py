@@ -39,7 +39,6 @@ __all__ = [
     "SchemaError",
     "tokenize",
     "load_jsonl",
-    "save_jsonl",
     "load_vocab",
     "gen_synthetic",
     "subsample",
@@ -143,8 +142,8 @@ def load_jsonl(path, vocab: Vocab | None = None,
                max_len: int | None = None) -> list[Example]:
     """Read one JSON object per line; mixed token/text schemas are rejected.
 
-    Every malformed line raises SchemaError naming it, and so does a negative
-    label in a file whose labels are all integers (class labels).
+    Every malformed line raises SchemaError naming it. Whether integer labels
+    are class labels is decided where the loss is known, not here.
     """
     blob = Path(path).read_bytes()
     try:
@@ -154,7 +153,6 @@ def load_jsonl(path, vocab: Vocab | None = None,
         raise SchemaError(f"line {line_no}: not valid UTF-8")
     examples: list[Example] = []
     schema_seen: str | None = None
-    negative = None  # line of the first negative label
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not line.strip():
             continue
@@ -172,21 +170,8 @@ def load_jsonl(path, vocab: Vocab | None = None,
         elif schema != schema_seen:
             raise SchemaError(f"line {line_no}: mixed '{schema}' and "
                               f"'{schema_seen}' schemas in one file")
-        if example.label < 0 and negative is None:
-            negative = line_no
         examples.append(example)
-    if negative and all(type(ex.label) is int for ex in examples):
-        raise SchemaError(f"line {negative}: negative class label (every label in "
-                          "the file is an integer)")
     return examples
-
-
-def save_jsonl(path, dataset: list[Example]) -> None:
-    """Inverse of load_jsonl's tokens schema (the [CLS] prefix is implicit)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in dataset:
-            fh.write(json.dumps({"tokens": ex.token_ids[1:], "label": ex.label}))
-            fh.write("\n")
 
 
 @dataclass
@@ -316,9 +301,9 @@ def subsample(dataset: list[Example], n: int, seed: int) -> list[Example]:
     return [dataset[i] for i in chosen]
 
 
-# ready-made task configurations for the CLI
+# ready-made task configurations for the CLI: (generator kind, task type)
 TASK_PRESETS = {
-    "pattern": ("pattern_containment", "classification", 2),
-    "majority": ("majority_token", "classification", 2),
-    "pairsim": ("pair_similarity", "regression", 1),
+    "pattern": ("pattern_containment", "classification"),
+    "majority": ("majority_token", "classification"),
+    "pairsim": ("pair_similarity", "regression"),
 }

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
-    "EvalResult",
     "SeedAggregate",
     "accuracy",
     "f1_binary",
     "matthews_corr",
-    "spearman_rho",
     "spearman_rho_flagged",
     "aggregate_seeds",
+    "check_range",
 ]
 
 _BOUNDS = {
@@ -29,18 +28,6 @@ _BOUNDS = {
     "mcc": (-1.0, 1.0),
     "spearman": (-1.0, 1.0),
 }
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    metric: str
-    value: float
-    n_examples: int
-
-    def __post_init__(self):
-        lo, hi = _BOUNDS.get(self.metric, (-math.inf, math.inf))
-        if not lo - 1e-12 <= self.value <= hi + 1e-12:
-            raise ValueError(f"{self.metric}={self.value} outside [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -136,15 +123,19 @@ def spearman_rho_flagged(x: Sequence[float], y: Sequence[float]) -> tuple[float,
     return cov / math.sqrt(vx * vy), False
 
 
-def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
-    return spearman_rho_flagged(x, y)[0]
-
-
 def aggregate_seeds(values: Sequence[float]) -> SeedAggregate:
-    """Mean and population standard deviation over per-seed metric values."""
-    if len(values) < 2:
-        raise ValueError("aggregate_seeds: need at least 2 values")
+    """Mean and population standard deviation over per-seed metric values;
+    one value is its own mean, with std 0.0."""
+    if not values:
+        raise ValueError("aggregate_seeds: need at least 1 value")
     vals = tuple(float(v) for v in values)
     mean = sum(vals) / len(vals)
     var = sum((v - mean) ** 2 for v in vals) / len(vals)
     return SeedAggregate(values=vals, mean=mean, std=math.sqrt(var))
+
+
+def check_range(metric: str, value: float) -> None:
+    """Raise ValueError when a known metric's value is outside its range."""
+    lo, hi = _BOUNDS.get(metric, (-math.inf, math.inf))
+    if not lo - 1e-12 <= value <= hi + 1e-12:
+        raise ValueError(f"{metric}={value} outside [{lo}, {hi}]")

@@ -39,6 +39,7 @@ __all__ = [
     "lr_at_step",
     "adamw_step",
     "build_model",
+    "check_class_labels",
     "pad_batch",
     "evaluate",
     "train",
@@ -100,8 +101,6 @@ def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
     peak = cfg.learning_rate
     if warmup > 0 and step <= warmup:
         return peak * step / warmup
-    if total_steps == warmup:
-        return peak
     return peak * (total_steps - step) / (total_steps - warmup)
 
 
@@ -184,7 +183,6 @@ def _clip_global_norm(named_params: list[tuple[str, Array]], state: OptimizerSta
 
 @dataclass
 class Model:
-    encoder_cfg: EncoderConfig
     head_kind: HeadKind
     enc: EncoderParams
     head: HeadParams
@@ -206,8 +204,7 @@ def build_model(cfg: TrainConfig, n_classes: int, dtype=np.float32) -> Model:
     enc = init_encoder_params(cfg.encoder, rng_init, dtype=dtype)
     head = init_head_params(cfg.head, cfg.encoder.d_model, n_classes, rng_init,
                             dtype=dtype)
-    return Model(encoder_cfg=cfg.encoder, head_kind=cfg.head, enc=enc, head=head,
-                 n_classes=n_classes)
+    return Model(head_kind=cfg.head, enc=enc, head=head, n_classes=n_classes)
 
 
 def pad_batch(examples: list[Example]) -> tuple[np.ndarray, np.ndarray, list]:
@@ -265,17 +262,22 @@ class TrainResult:
     wall_time_s: float
 
 
+def check_class_labels(train_set: list[Example], eval_set: list[Example]) -> None:
+    """Refuse a class label outside [0, MAX_CLASSES), naming its example."""
+    for i, ex in enumerate(train_set + eval_set):  # the classifier has max + 1 columns
+        if not 0 <= ex.label < MAX_CLASSES:
+            where = f"training example {i + 1}" if i < len(train_set) \
+                else f"eval example {i - len(train_set) + 1}"
+            raise SchemaError(f"{where}: class label {ex.label} is outside [0, {MAX_CLASSES})")
+
+
 def _infer_n_classes(cfg: TrainConfig, train_set, eval_set) -> int:
     if cfg.loss == "squared_error":
         return 1
     labels = [ex.label for ex in train_set] + [ex.label for ex in eval_set]
     if not all(isinstance(lab, (int, np.integer)) for lab in labels):
         raise TrainingError("cross_entropy training needs integer labels")
-    for i, lab in enumerate(labels):  # the classifier has max(labels) + 1 columns
-        if lab >= MAX_CLASSES:
-            where = f"training example {i + 1}" if i < len(train_set) \
-                else f"eval example {i - len(train_set) + 1}"
-            raise SchemaError(f"{where}: class label {lab} is not below {MAX_CLASSES}")
+    check_class_labels(train_set, eval_set)
     return max(2, max(labels) + 1)
 
 

@@ -20,7 +20,8 @@ from clspool.cli import main
 from clspool.data import SyntheticTaskSpec, gen_synthetic
 from clspool.encoder import EncoderConfig, LayerStack
 from clspool.heads import HeadKind, head_forward, init_head_params
-from clspool.metrics import accuracy, aggregate_seeds, f1_binary, matthews_corr, spearman_rho
+from clspool.metrics import (accuracy, aggregate_seeds, f1_binary, matthews_corr,
+                             spearman_rho_flagged)
 from clspool.training import (
     CheckpointError,
     OptimizerState,
@@ -179,9 +180,9 @@ def test_criterion_4_metric_oracles():
         m = int(rng.integers(2, 40))
         x = (rng.integers(0, 8, size=m) / 2.0).tolist()
         y = (rng.integers(0, 8, size=m) / 2.0).tolist()
-        ok &= abs(spearman_rho(x, y) - spearman_oracle(x, y)) <= 1e-12
+        ok &= abs(spearman_rho_flagged(x, y)[0] - spearman_oracle(x, y)) <= 1e-12
     fixed = (matthews_corr([1, 1, 0, 0], [1, 0, 1, 0]) == 0.0
-             and abs(spearman_rho([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) - 0.5) < 1e-15
+             and abs(spearman_rho_flagged([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])[0] - 0.5) < 1e-15
              and abs(f1_binary([1, 1, 1, 0, 0], [1, 1, 0, 1, 0]) - 2.0 / 3.0) < 1e-15)
     report(4, "metric implementations match brute-force oracles", ok and fixed)
 

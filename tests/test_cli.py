@@ -1,6 +1,8 @@
 import argparse
 import csv
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -21,8 +23,9 @@ from clspool.cli import (
     format_mean_table,
     format_std_table,
     main,
+    write_compare_csv,
 )
-from clspool.training import load_checkpoint
+from clspool.training import TrainResult, load_checkpoint
 
 TINY = ["--train-size", "48", "--eval-size", "16", "--seq-len", "8",
         "--vocab-size", "30", "--num-layers", "2", "--d-model", "16",
@@ -104,7 +107,8 @@ class TestExitCodes:
                      "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", rows[:2]), *TINY,
                      "--head", "baseline", "--head", "mha:h=2", "--out", str(tmp_path))
         assert rc == 2
-        assert "line 3" in capsys.readouterr().err
+        assert "training example 3: class label -1" in capsys.readouterr().err
+        assert not list((tmp_path / "runs").glob("*.json"))  # no run trained
 
 
     def test_class_label_beyond_bound_is_usage_error(self, tmp_path, capsys):
@@ -115,6 +119,49 @@ class TestExitCodes:
                      "--head", "baseline", "--seed", "1", "--out", str(tmp_path))
         assert rc == 2
         assert "training example 2: class label 1000000000000" in capsys.readouterr().err
+
+    def test_negative_class_label_names_its_training_example(self, tmp_path, capsys):
+        rows = [{"tokens": [5, 6], "label": -3 if i == 2 else i % 2} for i in range(8)]
+        rc = run_cli("train", "--data", _write_jsonl(tmp_path / "tr.jsonl", rows),
+                     "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", rows[:2]), *TINY,
+                     "--head", "baseline", "--seed", "1", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert "training example 3: class label -3" in capsys.readouterr().err
+        assert not list((tmp_path / "out").iterdir())  # no checkpoint, no record
+
+    def test_eval_of_a_classifier_refuses_a_negative_label(self, tmp_path, capsys):
+        rows = [{"tokens": [5, 6, i % 7], "label": i % 2} for i in range(8)]
+        data = _write_jsonl(tmp_path / "tr.jsonl", rows)
+        assert run_cli("train", "--data", data, "--eval-data", data, *TINY,
+                       "--head", "baseline", "--seed", "1", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        bad = [dict(row, label=-1 if i == 1 else row["label"]) for i, row in enumerate(rows)]
+        rc = run_cli("eval", "--ckpt", str(tmp_path / "baseline__seed1.ckpt"),
+                     "--data", data, "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", bad),
+                     *TINY)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "eval example 2: class label -1" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--task", "pattern", "--head", "baseline", "--head", "mha:h=2",
+          "--seed", "1"], "train runs a single head; pass exactly one --head"),
+        (["train", "--task", "pattern", "--seed", "1", "--seed", "2"],
+         "train runs a single seed; pass exactly one --seed"),
+        (["train", "--data", "{data}", "--seed", "1"], "--data also needs --eval-data"),
+        (["lowres", "--task", "pattern", "--head", "baseline", "--head", "mha:h=2"],
+         "lowres needs at least one --size (int or 'full')"),
+        (["eval", "--task", "pattern"], "eval needs --ckpt PATH"),
+        (["compare", "--task", "pattern", "--num-layers", "2", "--head", "baseline",
+          "--head", "maxcls:k=3"], "head 'maxcls:k=3': k=3 exceeds num_layers=2"),
+    ])
+    def test_usage_error_names_its_cause(self, tmp_path, capsys, argv, message):
+        data = _write_jsonl(tmp_path / "tr.jsonl", [{"tokens": [5], "label": 1}])
+        out = tmp_path / "out"
+        rc = run_cli(*[a.replace("{data}", data) for a in argv], "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()  # refused before anything is written
 
 
 class TestTrainCommand:
@@ -158,6 +205,17 @@ class TestTrainCommand:
         # the loss is chosen from both files: one real label makes every
         # label a target, so 20000 is no class label and not out of range
         train_rows = [{"tokens": [5, 6, i % 7], "label": 20000 if i == 1 else i}
+                      for i in range(8)]
+        eval_rows = [{"tokens": [5, 6, i], "label": i + 0.5} for i in range(4)]
+        rc = run_cli("train", "--data", _write_jsonl(tmp_path / "tr.jsonl", train_rows),
+                     "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", eval_rows),
+                     *TINY, "--head", "baseline", "--seed", "1", "--out", str(tmp_path))
+        assert rc == 0
+        assert set(json.loads(capsys.readouterr().out.strip())) == {"spearman"}
+
+    def test_negative_integer_train_label_beside_real_eval_labels_trains_a_regressor(
+            self, tmp_path, capsys):
+        train_rows = [{"tokens": [5, 6, i % 7], "label": -3 if i == 2 else i}
                       for i in range(8)]
         eval_rows = [{"tokens": [5, 6, i], "label": i + 0.5} for i in range(4)]
         rc = run_cli("train", "--data", _write_jsonl(tmp_path / "tr.jsonl", train_rows),
@@ -242,6 +300,32 @@ class TestAblateAndLowres:
         assert rc == 0
         table = (tmp_path / "ablate_k.txt").read_text()
         assert "k = 1" in table and "k = 2" in table
+
+    def test_lowres_csv_bytes_with_one_seed_and_no_baseline(self, tmp_path, monkeypatch,
+                                                           capsys):
+        import clspool.cli as cli
+
+        def fixed(cfg, train_set, eval_set, **kw):
+            acc = {"mha": 0.75, "maxcls": 0.625}[cfg.head.kind]
+            return None, TrainResult(
+                eval_metrics={"accuracy": acc, "f1": acc / 3, "mcc": -acc / 7},
+                train_metrics={"accuracy": 1.0}, final_loss=0.5,
+                n_train=len(train_set), n_eval=len(eval_set), wall_time_s=0.0)
+
+        monkeypatch.setattr(cli, "train", fixed)
+        rc = run_cli("lowres", "--task", "pattern", *TINY, "--head", "mha:h=2",
+                     "--head", "maxcls:k=2", "--seed", "3", "--size", "24",
+                     "--out", str(tmp_path))
+        assert rc == 0
+        expected = ("size,head,metric,mean,std,delta\n"
+                    "24,mha:h=2,accuracy,0.75,0.0,\n"
+                    "24,mha:h=2,f1,0.25,0.0,\n"
+                    "24,mha:h=2,mcc,-0.10714285714285714,0.0,\n"
+                    "24,maxcls:k=2,accuracy,0.625,0.0,\n"
+                    "24,maxcls:k=2,f1,0.20833333333333334,0.0,\n"
+                    "24,maxcls:k=2,mcc,-0.08928571428571429,0.0,\n")
+        assert (tmp_path / "lowres.csv").read_text() == expected
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_lowres_csv_schema(self, tmp_path):
         rc = run_cli("lowres", "--task", "pattern", *TINY,
@@ -410,6 +494,25 @@ class TestReportAssembly:
         assert table.splitlines()[-1] == note
         assert not any(line.startswith("Delta") for line in table.splitlines())
 
+    def test_compare_csv_bytes(self, tmp_path):
+        # one head with a metric the baseline lacks, one whose runs all failed
+        records = self._records() + [
+            {"task": "t", "head": "maxcls:k=3", "seed": 1,
+             "metrics": {"accuracy": 0.7, "f1": 0.6}, "wall_time_s": 1.0},
+            {"task": "t", "head": "maxcls:k=3", "seed": 2,
+             "metrics": {"accuracy": 0.75, "f1": 0.65}, "wall_time_s": 1.0},
+        ] + [{"task": "t", "head": "normseq+mha:k=3,h=4", "seed": seed, "metrics": {},
+              "error": "diverged", "wall_time_s": 0.0} for seed in (1, 2)]
+        heads = ["baseline", "mha:h=4", "maxcls:k=3", "normseq+mha:k=3,h=4"]
+        write_compare_csv(tmp_path / "c.csv", build_reports(records, heads), [1, 2])
+        assert (tmp_path / "c.csv").read_text() == (
+            "head,metric,seed_1,seed_2,mean,std,delta\n"
+            "baseline,accuracy,0.8,0.9,0.8500000000000001,0.04999999999999999,0.0\n"
+            "mha:h=4,accuracy,0.95,0.85,0.8999999999999999,0.04999999999999999,"
+            "0.04999999999999982\n"
+            "maxcls:k=3,accuracy,0.7,0.75,0.725,0.025000000000000022,-0.1250000000000001\n"
+            "maxcls:k=3,f1,0.6,0.65,0.625,0.025000000000000022,\n")
+
     def test_std_table_scientific_format(self):
         reports = build_reports(self._records(), ["baseline", "mha:h=4"])
         table = format_std_table(reports)
@@ -426,6 +529,21 @@ def test_subprocess_entrypoint(tmp_path):
     result = subprocess.run([sys.executable, "-m", "clspool", "train"],
                             capture_output=True, text=True)
     assert result.returncode == 2
+
+
+def test_readme_cli_examples_parse():
+    """Every `clspool ...` line of the README's sh blocks parses."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["clspool"]:
+                commands.append(argv[1:])
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits on a parse error
 
 
 def _write_jsonl(path, rows):

@@ -18,10 +18,10 @@ from clspool.data import (
     gen_synthetic,
     load_jsonl,
     load_vocab,
-    save_jsonl,
     subsample,
     tokenize,
 )
+from clspool.training import check_class_labels
 
 
 @pytest.fixture
@@ -131,11 +131,14 @@ class TestJsonl:
             load_jsonl(path, vocab)
 
     def test_negative_class_label_is_refused(self, tmp_path):
+        # loading keeps it: only the loss decides whether -1 is a class label
         path = tmp_path / "d.jsonl"
         path.write_text('{"tokens":[5],"label":0}\n{"tokens":[6],"label":-1}\n',
                         encoding="utf-8")
-        with pytest.raises(SchemaError, match="line 2"):
-            load_jsonl(path)
+        examples = load_jsonl(path)
+        assert [ex.label for ex in examples] == [0, -1]
+        with pytest.raises(SchemaError, match="training example 2: class label -1"):
+            check_class_labels(examples, [])
 
     def test_label_beyond_float_range_loads_as_int(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -153,7 +156,8 @@ class TestJsonl:
                                  seq_len=(8, 12), seed=3)
         train, _ = gen_synthetic(spec)
         path = tmp_path / "round.jsonl"
-        save_jsonl(path, train)
+        path.write_text("".join(json.dumps({"tokens": ex.token_ids[1:], "label": ex.label})
+                                + "\n" for ex in train), encoding="utf-8")
         back = load_jsonl(path)
         assert back == train
 

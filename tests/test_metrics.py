@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from clspool.metrics import (
-    EvalResult,
     accuracy,
     aggregate_seeds,
+    check_range,
     f1_binary,
     matthews_corr,
-    spearman_rho,
     spearman_rho_flagged,
 )
 
@@ -75,13 +74,13 @@ class TestMcc:
 
 class TestSpearman:
     def test_identity(self):
-        assert spearman_rho([1.0, 2.0, 5.0], [1.0, 2.0, 5.0]) == 1.0
+        assert spearman_rho_flagged([1.0, 2.0, 5.0], [1.0, 2.0, 5.0])[0] == 1.0
 
     def test_reversed(self):
-        assert spearman_rho([1.0, 2.0, 3.0], [9.0, 4.0, 1.0]) == -1.0
+        assert spearman_rho_flagged([1.0, 2.0, 3.0], [9.0, 4.0, 1.0])[0] == -1.0
 
     def test_half_example(self):
-        assert abs(spearman_rho([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) - 0.5) < 1e-15
+        assert abs(spearman_rho_flagged([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])[0] - 0.5) < 1e-15
 
     def test_zero_variance_flag(self):
         rho, degenerate = spearman_rho_flagged([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -91,7 +90,7 @@ class TestSpearman:
 
     def test_ties_get_average_ranks(self):
         # x ties at rank (1+2)/2 = 1.5 each
-        rho = spearman_rho([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        rho = spearman_rho_flagged([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])[0]
         assert abs(rho - spearman_oracle([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])) < 1e-15
 
 
@@ -113,7 +112,7 @@ class TestOracleAgreement:
             # quantized values so rank ties actually occur
             x = (rng.integers(0, 6, size=n) / 2.0).tolist()
             y = (rng.integers(0, 6, size=n) / 2.0).tolist()
-            assert abs(spearman_rho(x, y) - spearman_oracle(x, y)) < 1e-12
+            assert abs(spearman_rho_flagged(x, y)[0] - spearman_oracle(x, y)) < 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -127,8 +126,8 @@ class TestOracleAgreement:
                     fn(preds[perm].tolist(), labels[perm].tolist())
             x = rng.normal(size=n)
             y = rng.normal(size=n)
-            assert abs(spearman_rho(x.tolist(), y.tolist())
-                       - spearman_rho(x[perm].tolist(), y[perm].tolist())) < 1e-12
+            assert abs(spearman_rho_flagged(x.tolist(), y.tolist())[0]
+                       - spearman_rho_flagged(x[perm].tolist(), y[perm].tolist())[0]) < 1e-12
 
 
 class TestAggregateSeeds:
@@ -154,15 +153,17 @@ class TestAggregateSeeds:
             assert agg.std >= 0.0
 
     def test_too_few(self):
+        agg = aggregate_seeds([0.75])
+        assert agg.values == (0.75,) and agg.mean == 0.75 and agg.std == 0.0
         with pytest.raises(ValueError):
-            aggregate_seeds([1.0])
+            aggregate_seeds([])
 
 
 class TestEvalResult:
     def test_bounds_enforced(self):
-        EvalResult("accuracy", 0.5, 10)
-        EvalResult("mcc", -0.5, 10)
+        check_range("accuracy", 0.5)
+        check_range("mcc", -0.5)
         with pytest.raises(ValueError):
-            EvalResult("accuracy", 1.5, 10)
+            check_range("accuracy", 1.5)
         with pytest.raises(ValueError):
-            EvalResult("spearman", -2.0, 10)
+            check_range("spearman", -2.0)

@@ -2,6 +2,7 @@ import gc
 import math
 import struct
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +452,44 @@ def test_golden_checkpoint_loads_and_saves_byte_for_byte(tmp_path):
 def _resealed(blob: bytes) -> bytes:
     payload = blob[4:-4]
     return blob[:4] + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+def _short_file(model, cfg, path):
+    path.write_bytes(b"MPBT\x01\x00")
+
+
+def _trailing_byte(model, cfg, path):
+    blob = GOLDEN_CHECKPOINT.read_bytes()
+    path.write_bytes(_resealed(blob[:-4] + b"\x00" + blob[-4:]))
+
+
+def _flat_classifier(model, cfg, path):
+    model.head.w_cls.data = model.head.w_cls.data.reshape(-1)
+    save_checkpoint(path, model, cfg)
+
+
+def _other_head(model, cfg, path):
+    save_checkpoint(path, model, replace(cfg, head=HeadKind("baseline")))
+
+
+def _other_vocab_size(model, cfg, path):
+    save_checkpoint(path, model, replace(cfg, encoder=replace(cfg.encoder, vocab_size=13)))
+
+
+@pytest.mark.parametrize("write, message", [
+    (_short_file, "truncated checkpoint file"),
+    (_trailing_byte, "format error: trailing bytes after parameters"),
+    (_flat_classifier, "format error: no two-axis 'head.w_cls' tensor"),
+    (_other_head, "format error: parameter names do not match config"),
+    (_other_vocab_size, "format error: shape mismatch for 'tok_emb'"),
+])
+def test_checkpoint_refusal_names_its_cause(tmp_path, write, message):
+    model, cfg = model_from_checkpoint(GOLDEN_CHECKPOINT)
+    path = tmp_path / "bad.ckpt"
+    write(model, cfg, path)
+    with pytest.raises(CheckpointError) as err:
+        model_from_checkpoint(path)
+    assert str(err.value) == message
 
 
 # bytes that keep mutated config text close to parseable
