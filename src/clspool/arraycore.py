@@ -356,9 +356,10 @@ def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} "
                          f"do not match last axis of {x.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is bitwise np.mean's own arithmetic without its Python wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     centered = x.data - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     out = xhat * gain.data + bias.data
@@ -366,8 +367,8 @@ def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
     def bwd(g):
         gy = g * gain.data
         # dx = (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + eps)
-        gx = (gy - gy.mean(axis=-1, keepdims=True)
-              - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
+        gx = (gy - gy.sum(axis=-1, keepdims=True) / d
+              - xhat * ((gy * xhat).sum(axis=-1, keepdims=True) / d)) * inv
         ggain = (g * xhat).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
@@ -432,6 +433,21 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -2, -3).reshape(*lead, t, h * dh)
 
 
+def _row_max(p: np.ndarray) -> np.ndarray:
+    """p.max(axis=-1, keepdims=True), taken one key column at a time.
+
+    numpy reduces a short last axis row by row; each np.maximum here runs over
+    every row at once, on a 2-D view, which has fewer axes to step through than
+    p. A max is exact in any order and np.maximum propagates NaN as max does,
+    so the result is bitwise the same.
+    """
+    rows = p.reshape(-1, p.shape[-1])
+    top = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        np.maximum(top, rows[:, j], out=top)
+    return top.reshape(p.shape[:-1] + (1,))
+
+
 def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
               probs_out: list | None = None) -> Array:
     """Multi-head scaled dot-product attention: softmax(Q K^T / sqrt(dh) + M) V.
@@ -457,11 +473,11 @@ def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
         raise ShapeError(f"attention: mask {m.shape} does not match keys {k.shape[:-1]}")
     c = 1.0 / math.sqrt(d // num_heads)  # a Python float: float32 data stays float32
     qh, kh, vh = (_split_heads(x.data, num_heads) for x in (q, k, v))
-    penalty = ((1.0 - m) * MASK_PENALTY)[..., None, None, :]
     p = qh @ np.swapaxes(kh, -1, -2)  # scores, then softmax in place: same order, same bits
     p *= c
-    p += penalty
-    p -= p.max(axis=-1, keepdims=True)
+    if not m.all():  # with no key masked the penalty is -0.0, and adding it changes no bit
+        p += ((1.0 - m) * MASK_PENALTY)[..., None, None, :]
+    p -= _row_max(p)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     if probs_out is not None:
@@ -470,7 +486,10 @@ def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
     def bwd(g):
         gh = _split_heads(g, num_heads)
         dp = gh @ np.swapaxes(vh, -1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        ds = dp  # p * (dp - rowsum(dp * p)) * c, in place and in that order
+        ds -= (dp * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= c
         return (_merge_heads(ds @ kh), _merge_heads(np.swapaxes(ds, -1, -2) @ qh),
                 _merge_heads(np.swapaxes(p, -1, -2) @ gh))
 

@@ -393,9 +393,9 @@ def cmd_train(args) -> int:
     head_spec, seed = exp.heads[0], exp.seeds[0]
     train_set, eval_set, task, loss = _load_datasets(exp)
     cfg = _train_config(exp, head_spec, seed, loss)
-    out_dir = Path(exp.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model, result = train(cfg, train_set, eval_set)
+    out_dir = Path(exp.out)  # made only once train() has accepted the inputs
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{_slug(head_spec)}__seed{seed}"
     save_checkpoint(out_dir / f"{stem}.ckpt", model, cfg)
     record = {**_run_record(task, head_spec, seed, result), "checkpoint": f"{stem}.ckpt"}

@@ -179,6 +179,7 @@ def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,
     x = ac.dropout(ac.add(ac.embed_lookup(params.tok_emb, ids),
                           ac.embed_lookup(params.pos_emb, pos_ids)), dropout_p, rng)
 
+    padded = not m.all()  # on an unpadded batch mask_rows would multiply by 1.0
     activations = []
     for layer in params.layers:
         attn = ac.dropout(self_attention(x, layer, m, cfg.num_heads_encoder), dropout_p, rng)
@@ -190,6 +191,7 @@ def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,
                         layer.b_ff2)
         x = ac.layer_norm(ac.add(x, ac.dropout(ff, dropout_p, rng)),
                           layer.ln2_gain, layer.ln2_bias)
-        x = ac.mask_rows(x, m)
+        if padded:
+            x = ac.mask_rows(x, m)
         activations.append(x)
     return LayerStack(activations=activations, mask=m)

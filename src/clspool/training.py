@@ -263,12 +263,15 @@ class TrainResult:
 
 
 def check_class_labels(train_set: list[Example], eval_set: list[Example]) -> None:
-    """Refuse a class label outside [0, MAX_CLASSES), naming its example."""
+    """Refuse a class label that is not an integer in [0, MAX_CLASSES), naming
+    its example."""
     for i, ex in enumerate(train_set + eval_set):  # the classifier has max + 1 columns
-        if not 0 <= ex.label < MAX_CLASSES:
+        integer = isinstance(ex.label, (int, np.integer))
+        if not integer or not 0 <= ex.label < MAX_CLASSES:
             where = f"training example {i + 1}" if i < len(train_set) \
                 else f"eval example {i - len(train_set) + 1}"
-            raise SchemaError(f"{where}: class label {ex.label} is outside [0, {MAX_CLASSES})")
+            fault = f"is outside [0, {MAX_CLASSES})" if integer else "is not an integer"
+            raise SchemaError(f"{where}: class label {ex.label} {fault}")
 
 
 def _infer_n_classes(cfg: TrainConfig, train_set, eval_set) -> int:

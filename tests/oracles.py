@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from clspool.arraycore import MASK_PENALTY
+from clspool.arraycore import LAYER_NORM_EPS, MASK_PENALTY
 from clspool.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingError, _decay_exempt
 
 
@@ -165,3 +165,20 @@ def attention_oracle(q, k, v, mask, num_heads, g):
     grads = (_merge_heads(ds @ kh), _merge_heads(np.swapaxes(ds, -1, -2) @ qh),
              _merge_heads(np.swapaxes(p, -1, -2) @ gh))
     return _merge_heads(p @ vh), p, grads
+
+
+# layer_norm as it was before its row means became sum / d: np.mean throughout.
+
+def layer_norm_oracle(x, gain, bias, g):
+    """(layer_norm(x), (dx, dgain, dbias)) by the .mean expressions."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centered * inv
+    out = xhat * gain + bias
+    gy = g * gain
+    gx = (gy - gy.mean(axis=-1, keepdims=True)
+          - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
+    return out, (gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))

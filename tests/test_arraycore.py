@@ -13,7 +13,7 @@ from clspool.arraycore import (
     backward,
     grad_check,
 )
-from oracles import attention_oracle, gelu_oracle
+from oracles import attention_oracle, gelu_oracle, layer_norm_oracle
 
 
 def matmul_oracle(a, b):
@@ -602,8 +602,9 @@ class TestNoGrad:
 
 
 class TestInPlaceKernels:
-    """gelu's and attention's forwards work in place; every bit stays as the
-    out-of-place expressions in tests/oracles.py give it."""
+    """gelu's and attention's kernels work in place and layer_norm takes its
+    means as sum / d; every bit stays as the expressions in tests/oracles.py
+    give it."""
 
     def test_gelu_matches_out_of_place_expressions_bitwise(self):
         rng = np.random.default_rng(11)
@@ -620,15 +621,39 @@ class TestInPlaceKernels:
         assert leaf.grad.tobytes() == want_grad.tobytes()
         assert leaf.data.tobytes() == x.tobytes()  # the input is never written
 
-    @pytest.mark.parametrize("lead,tq,t,h", [((4,), 6, 6, 2), ((3,), 1, 7, 4)])
-    def test_attention_matches_out_of_place_softmax_bitwise(self, lead, tq, t, h):
+    @pytest.mark.parametrize("lead,tq,t,h,case", [
+        pytest.param((4,), 6, 6, 2, "masked", id="lead0-6-6-2"),
+        pytest.param((3,), 1, 7, 4, "masked", id="lead1-1-7-4"),
+        pytest.param((4,), 6, 6, 2, "unmasked", id="all-ones-mask"),
+        pytest.param((5,), 48, 48, 4, "unmasked", id="grid-t48"),
+        pytest.param((5,), 48, 48, 4, "masked", id="grid-t48-masked"),
+        pytest.param((4,), 6, 6, 2, "ties", id="tied-and-signed-zero-scores"),
+        pytest.param((4,), 6, 6, 2, "nan", id="nan-score"),
+    ])
+    def test_attention_matches_out_of_place_softmax_bitwise(self, lead, tq, t, h, case):
         rng = np.random.default_rng(12)
         q = (rng.normal(size=lead + (tq, 8)) * 30.0).astype(np.float32)  # peaked rows
         k, v = (rng.normal(size=lead + (t, 8)).astype(np.float32) for _ in range(2))
         mask = (rng.random(lead + (t,)) > 0.4).astype(np.float64)
         mask[..., 0] = 1.0
         g = rng.normal(size=lead + (tq, 8)).astype(np.float32)
+        if case != "masked":
+            mask[:] = 1.0  # no key masked: the penalty pass is skipped
+        if case == "ties":
+            k[..., 2::2, :] = k[..., :1, :]  # keys 0, 2 and 4 score alike on every query
+            k[..., [0, 4]] = np.sign(k[..., [0, 4]])
+            q[..., 0, :] = 0.0  # a row of +0.0 scores
+            q[..., 1, :] = 0.0  # scores +-(least subnormal); scaled by 0.5 they round to +-0.0
+            q[..., 1, [0, 4]] = np.nextafter(np.float32(0), np.float32(1))
+            scores = (q[..., 1:2, :4] @ np.swapaxes(k[..., :4], -1, -2)) * np.float32(0.5)
+            assert not scores.any() and np.signbit(scores).any() and not np.signbit(scores).all()
+        if case == "nan":
+            k[..., 3, 1] = np.nan  # every query row of head 0 holds one NaN score
         want, want_p, want_grads = attention_oracle(q, k, v, mask, h, g)
+        if case == "ties":
+            assert ((want_p == want_p.max(axis=-1, keepdims=True)).sum(axis=-1) > 1).any()
+        if case == "nan":
+            assert np.isnan(want_p[:, 0]).all() and not np.isnan(want_p[:, 1]).any()
         leaves = [ac.Array(a.copy()) for a in (q, k, v)]
         probs = []
         out = ac.attention(*leaves, mask, h, probs_out=probs)
@@ -641,3 +666,20 @@ class TestInPlaceKernels:
             probs_ng = []
             ac.attention(*leaves, mask, h, probs_out=probs_ng)
         assert probs_ng[0].tobytes() == want_p.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_matches_mean_expressions_bitwise(self, dtype):
+        rng = np.random.default_rng(13)
+        for shape, scale, offset in [((4, 8, 32), 1.0, 0.0), ((64, 48, 32), 1.0, 0.0),
+                                     ((3, 17, 32), 1e3, 1e4), ((2, 5, 7), 1e-3, 0.0),
+                                     ((6, 128), 30.0, -5.0), ((1, 1, 3), 1.0, 1.0)]:
+            x = (rng.normal(size=shape) * scale + offset).astype(dtype)
+            gain, bias = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+            g = rng.normal(size=shape).astype(dtype)
+            want, want_grads = layer_norm_oracle(x, gain, bias, g)
+            leaves = [ac.Array(a.copy()) for a in (x, gain, bias)]
+            out = ac.layer_norm(*leaves)
+            backward(out, seed=g)
+            assert out.data.tobytes() == want.tobytes(), shape
+            for leaf, want_grad in zip(leaves, want_grads):
+                assert leaf.grad.tobytes() == want_grad.tobytes(), shape

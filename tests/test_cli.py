@@ -127,7 +127,7 @@ class TestExitCodes:
                      "--head", "baseline", "--seed", "1", "--out", str(tmp_path / "out"))
         assert rc == 2
         assert "training example 3: class label -3" in capsys.readouterr().err
-        assert not list((tmp_path / "out").iterdir())  # no checkpoint, no record
+        assert not (tmp_path / "out").exists()  # made only after train() accepts the data
 
     def test_eval_of_a_classifier_refuses_a_negative_label(self, tmp_path, capsys):
         rows = [{"tokens": [5, 6, i % 7], "label": i % 2} for i in range(8)]
@@ -142,6 +142,21 @@ class TestExitCodes:
         assert rc == 2
         captured = capsys.readouterr()
         assert "eval example 2: class label -1" in captured.err and not captured.out
+
+    def test_eval_of_a_classifier_refuses_a_real_label(self, tmp_path, capsys):
+        rows = [{"tokens": [5, 6, i % 7], "label": i % 2} for i in range(8)]
+        data = _write_jsonl(tmp_path / "tr.jsonl", rows)
+        assert run_cli("train", "--data", data, "--eval-data", data, *TINY,
+                       "--head", "baseline", "--seed", "1", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        real = [{"tokens": [5, 6], "label": 0.5}, {"tokens": [6, 5], "label": 1.5}]
+        rc = run_cli("eval", "--ckpt", str(tmp_path / "baseline__seed1.ckpt"),
+                     "--data", data, "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", real),
+                     *TINY)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "eval example 1: class label 0.5 is not an integer" in captured.err
+        assert not captured.out
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--task", "pattern", "--head", "baseline", "--head", "mha:h=2",

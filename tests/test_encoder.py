@@ -10,6 +10,7 @@ from clspool.encoder import (
     init_encoder_params,
     self_attention,
 )
+from clspool.training import TrainConfig, build_model
 
 
 def toy_params(vocab=12, n_layers=2, d=8, heads=2, t_max=8, seed=0, dtype=np.float64):
@@ -84,6 +85,39 @@ class TestEncode:
         c = encode(params, [[1, 4, 5]], dropout_p=0.5, rng=np.random.default_rng(8))
         assert np.array_equal(a.activations[-1].data, b.activations[-1].data)
         assert not np.array_equal(a.activations[-1].data, c.activations[-1].data)
+
+
+class TestUnpaddedPath:
+    """On a batch with no padding, encode skips mask_rows: multiplying by an
+    all-ones mask is an exact identity, so no bit and no gradient changes."""
+
+    def test_unpadded_batch_records_no_mask_rows(self):
+        params = toy_params(dtype=np.float32)
+        ids = np.random.default_rng(3).integers(1, 12, size=(4, 8))
+        mask = np.ones((4, 8))
+        stack = encode(params, ids, mask, dropout_p=0.1, rng=np.random.default_rng(4))
+        for y in stack.activations:  # the skipped multiply would change no byte
+            assert ac.mask_rows(y, mask).data.tobytes() == y.data.tobytes()
+        ops = [n.op for n in ac.Tape.trace(ac.sum_all(stack.activations[-1])).nodes]
+        assert "mask_rows" not in ops
+
+    def test_padded_batch_masks_every_layer(self):
+        params = toy_params(n_layers=3)
+        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        stack = encode(params, [[1, 4, 5, 0], [1, 6, 7, 8]], mask)
+        ops = [n.op for n in ac.Tape.trace(ac.sum_all(stack.activations[-1])).nodes]
+        assert ops.count("mask_rows") == 3
+
+    def test_train_b4_baseline_step_records_72_nodes(self):
+        # the train-b4 benchmark shape: B=4, T=8, the 4-layer d=32 encoder, dropout 0.1
+        enc = EncoderConfig(vocab_size=50, num_layers=4, d_model=32, num_heads_encoder=4,
+                            max_seq_len=64, dropout=0.1)
+        model = build_model(TrainConfig(encoder=enc, seed=1), n_classes=2)
+        ids = np.random.default_rng(5).integers(1, 50, size=(4, 8))
+        logits = model.forward(ids, np.ones((4, 8)), dropout_p=0.1,
+                               rng=np.random.default_rng(6))
+        loss = ac.cross_entropy_mean(logits, np.array([0, 1, 1, 0]))
+        assert len(ac.Tape.trace(loss).nodes) == 72
 
 
 class TestSelfAttention:
