@@ -292,6 +292,12 @@ def stack_axis0(parts: Sequence[Array]) -> Array:
 # nonlinear ops
 # ---------------------------------------------------------------------------
 
+def _flat_rows(layer: np.ndarray) -> np.ndarray:
+    """Row numbers of (layer[j], j) in a (k, n, ...) stack viewed as (k * n, ...)."""
+    n = layer.shape[0]
+    return layer * n + np.arange(n)
+
+
 def max_over_axis0(theta: Array) -> Array:
     """Element-wise max over the layer axis (axis 0).
 
@@ -300,12 +306,21 @@ def max_over_axis0(theta: Array) -> Array:
     """
     if theta.ndim < 1 or theta.shape[0] < 1:
         raise ShapeError(f"max_over_axis0: need a nonempty axis 0, got {theta.shape}")
-    idx = np.argmax(theta.data, axis=0)  # first occurrence == lowest layer
-    out = np.take_along_axis(theta.data, idx[None, ...], axis=0)[0]
+    t = theta.data
+    out = t[0].copy()
+    for layer in t[1:]:  # np.maximum returns its second operand on a tie, here the lower layer's
+        np.maximum(layer, out, out=out)
 
     def bwd(g):
-        gt = np.zeros_like(theta.data)
-        np.put_along_axis(gt, idx[None, ...], g[None, ...], axis=0)
+        # the first layer that holds the max (or a NaN, which only a NaN max
+        # can come from), found deepest first in integer arithmetic
+        idx = np.full(out.shape, len(t) - 1, dtype=np.intp)
+        for i in range(len(t) - 2, -1, -1):
+            hit = t[i] == out
+            hit |= np.isnan(t[i])
+            idx -= hit * (idx - i)
+        gt = np.zeros_like(t)
+        gt.reshape(-1)[_flat_rows(idx.reshape(-1))] = g.reshape(-1)
         return (gt,)
 
     return _make("max_over_axis0", out, (theta,), bwd)
@@ -329,19 +344,26 @@ def select_max_norm_axis0(theta: Array) -> Array:
 
     theta is (k, ..., d); for each (...) position the full d-vector of the
     winning layer is copied through. Ties break toward the highest index
-    (deepest layer). Backward routes the gradient to the selected vectors.
+    (deepest layer), and a NaN norm beats any number. Backward routes the
+    gradient to the selected vectors.
     """
     if theta.ndim < 2 or theta.shape[0] < 1:
         raise ShapeError(f"select_max_norm_axis0: need shape (k, ..., d), got {theta.shape}")
-    k = theta.shape[0]
-    norms = np.sqrt((theta.data ** 2).sum(axis=-1))       # (k, ...)
-    idx = (k - 1) - np.argmax(norms[::-1], axis=0)        # ties -> deepest
-    idx_full = np.broadcast_to(idx[None, ..., None], (1,) + theta.shape[1:])
-    out = np.take_along_axis(theta.data, idx_full, axis=0)[0]
+    k, d = theta.shape[0], theta.shape[-1]
+    norms = np.sqrt((theta.data ** 2).sum(axis=-1)).reshape(k, -1)  # (k, positions)
+    idx = np.full(norms.shape[1], k - 1, dtype=np.intp)
+    best = norms[k - 1]
+    for i in range(k - 2, -1, -1):  # a shallower layer wins only by a strictly larger norm
+        better = ~(norms[i] <= best)  # or by a NaN over a number: both count as larger here
+        better &= best == best  # a NaN best is never beaten
+        idx -= better * (idx - i)
+        best = np.maximum(norms[i], best)
+    rows = _flat_rows(idx)
+    out = np.take(theta.data.reshape(-1, d), rows, axis=0).reshape(theta.shape[1:])
 
     def bwd(g):
         gt = np.zeros_like(theta.data)
-        np.put_along_axis(gt, idx_full.copy(), g[None, ...], axis=0)
+        gt.reshape(-1, d)[rows] = g.reshape(-1, d)
         return (gt,)
 
     return _make("select_max_norm_axis0", out, (theta,), bwd)
@@ -356,22 +378,28 @@ def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} "
                          f"do not match last axis of {x.shape}")
-    # sum / d is bitwise np.mean's own arithmetic without its Python wrapper
+    # sum / d is bitwise np.mean's own arithmetic without its Python wrapper;
+    # then in place, in the order of ((x - mu) * inv) * gain + bias
     mu = x.data.sum(axis=-1, keepdims=True) / d
-    centered = x.data - mu
-    var = (centered ** 2).sum(axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    out = xhat * xhat  # the squares for the variance, then the output's buffer
+    var = out.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def bwd(g):
+        # dx = (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + eps), in gy
         gy = g * gain.data
-        # dx = (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + eps)
-        gx = (gy - gy.sum(axis=-1, keepdims=True) / d
-              - xhat * ((gy * xhat).sum(axis=-1, keepdims=True) / d)) * inv
+        scratch = gy * xhat
+        gy -= gy.sum(axis=-1, keepdims=True) / d
+        np.multiply(xhat, scratch.sum(axis=-1, keepdims=True) / d, out=scratch)
+        gy -= scratch
+        gy *= inv
         ggain = (g * xhat).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
-        return gx, ggain, gbias
+        return gy, ggain, gbias
 
     return _make("layer_norm", out, (x, gain, bias), bwd)
 
@@ -392,9 +420,19 @@ def gelu(x: Array) -> Array:
     out *= 1.0 + t
 
     def bwd(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        dy = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t ** 2) * du
-        return (g * dy,)
+        # g * (0.5*(1 + t) + 0.5*x * (1 - t**2) * C*(1 + 3*A * x2)), in place in that order
+        du = x2 * (3.0 * _GELU_A)
+        du += 1.0
+        du *= _GELU_C
+        b = t * t
+        np.subtract(1.0, b, out=b)
+        b *= 0.5 * x.data
+        b *= du
+        dy = np.add(t, 1.0, out=du)
+        dy *= 0.5
+        dy += b
+        dy *= g
+        return (dy,)
 
     return _make("gelu", out, (x,), bwd)
 

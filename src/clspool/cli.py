@@ -206,6 +206,15 @@ def _load_datasets(exp: ExperimentConfig):
     raise CliError("no input: pass --task NAME or --data PATH")
 
 
+def _check_run_settings(exp: ExperimentConfig) -> None:
+    """Refuse settings no run can use, before any run or output directory."""
+    if exp.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {exp.jobs}")
+    if exp.task and exp.seq_len + 1 > exp.max_seq_len:
+        raise CliError(f"--seq-len {exp.seq_len} plus the one [CLS] slot exceeds "
+                       f"--max-seq-len {exp.max_seq_len}")
+
+
 def _train_config(exp: ExperimentConfig, head_spec: str, seed: int,
                   loss: str) -> TrainConfig:
     head = parse_head_spec(head_spec)
@@ -253,14 +262,16 @@ def _run_grid(exp: ExperimentConfig, heads: list[str], out_dir: Path,
     """All (head, seed) runs in deterministic order, each run's JSON written as
     soon as it is back and each failed run named on stderr after ``where``.
     Returns the per-head reports and the grid command's exit code."""
+    _check_run_settings(exp)
     for spec in heads:
         _train_config(exp, spec, 0, "cross_entropy")  # validate before any run
     cells = [(exp, spec, seed, subsample_n) for spec in heads for seed in exp.seeds]
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    parallel = exp.jobs > 1
-    with ProcessPoolExecutor(max_workers=exp.jobs) if parallel else nullcontext() as pool:
+    workers = min(exp.jobs, len(cells))  # a fork pool starts all its workers at once
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         for record in (pool.map if parallel else map)(_run_cell, cells):
             name = f"{_slug(record['head'])}__seed{record['seed']}.json"
             (runs_dir / name).write_text(json.dumps(record, indent=2, sort_keys=True),
@@ -391,6 +402,7 @@ def cmd_train(args) -> int:
     if len(exp.seeds) != 1:
         raise CliError("train runs a single seed; pass exactly one --seed")
     head_spec, seed = exp.heads[0], exp.seeds[0]
+    _check_run_settings(exp)
     train_set, eval_set, task, loss = _load_datasets(exp)
     cfg = _train_config(exp, head_spec, seed, loss)
     model, result = train(cfg, train_set, eval_set)

@@ -56,6 +56,9 @@ class EncoderConfig:
             self.d_ff = 4 * self.d_model
         if self.vocab_size < 1 or self.num_layers < 1 or self.d_model < 1:
             raise ValueError("EncoderConfig: extents must be positive")
+        if self.num_heads_encoder < 1:
+            raise ValueError(f"EncoderConfig: num_heads_encoder must be >= 1, "
+                             f"got {self.num_heads_encoder}")
         if self.d_model % self.num_heads_encoder != 0:
             raise ValueError(f"EncoderConfig: d_model {self.d_model} not divisible "
                              f"by num_heads_encoder {self.num_heads_encoder}")

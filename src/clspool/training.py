@@ -161,11 +161,25 @@ def adamw_step(named_params: list[tuple[str, Array]], state: OptimizerState,
     if not np.all(np.isfinite(g)):
         name = next(name for name, p in named_params if not np.all(np.isfinite(p.grad)))
         raise TrainingError(f"non-finite gradient for '{name}' at optimizer step {t}")
-    m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-    v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-    data -= lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
+    # in place, in the order of b1*m + (1-b1)*g, b2*v + (1-b2)*(g*g) and
+    # data -= lr * ((m/bc1) / (sqrt(v/bc2) + eps)): multiplication commutes exactly
+    m *= ADAM_BETA1
+    scratch = g * (1.0 - ADAM_BETA1)
+    m += scratch
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
+    v += scratch
+    den = np.divide(v, bc2, out=scratch)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    update = m / bc1
+    update /= den
+    update *= lr
+    data -= update
     if weight_decay != 0.0:
-        data[:state.n_decay] -= lr * weight_decay * data[:state.n_decay]
+        decayed = data[:state.n_decay]
+        decayed -= np.multiply(decayed, lr * weight_decay, out=update[:state.n_decay])
     g[:] = 0
 
 
@@ -289,6 +303,10 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],
     """Run the fine-tuning loop; deterministic given (cfg, data)."""
     if not train_set or not eval_set:
         raise TrainingError("train: datasets must be nonempty")
+    # glibc mmaps a block this large; freeing it raises the mmap threshold to
+    # its size and the heap trim threshold to twice that, so each step's freed
+    # graph stays in the heap instead of being trimmed and faulted back in
+    np.empty(4 << 20, dtype=np.uint8)
     started = time.perf_counter()
     n_classes = _infer_n_classes(cfg, train_set, eval_set)
     model = build_model(cfg, n_classes, dtype=dtype)

@@ -182,3 +182,27 @@ def layer_norm_oracle(x, gain, bias, g):
     gx = (gy - gy.mean(axis=-1, keepdims=True)
           - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
     return out, (gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+
+
+# The layer pools as they were before they stopped taking an argmax over the
+# layer axis: argmax, take_along_axis and put_along_axis, verbatim.
+
+def max_over_axis0_oracle(theta, g):
+    """(max_over_axis0(theta), its gradient for output gradient g)."""
+    idx = np.argmax(theta, axis=0)  # first occurrence == lowest layer
+    out = np.take_along_axis(theta, idx[None, ...], axis=0)[0]
+    gt = np.zeros_like(theta)
+    np.put_along_axis(gt, idx[None, ...], g[None, ...], axis=0)
+    return out, gt
+
+
+def select_max_norm_axis0_oracle(theta, g):
+    """(select_max_norm_axis0(theta), its gradient for output gradient g)."""
+    k = theta.shape[0]
+    norms = np.sqrt((theta ** 2).sum(axis=-1))       # (k, ...)
+    idx = (k - 1) - np.argmax(norms[::-1], axis=0)    # ties -> deepest
+    idx_full = np.broadcast_to(idx[None, ..., None], (1,) + theta.shape[1:])
+    out = np.take_along_axis(theta, idx_full, axis=0)[0]
+    gt = np.zeros_like(theta)
+    np.put_along_axis(gt, idx_full.copy(), g[None, ...], axis=0)
+    return out, gt

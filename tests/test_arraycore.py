@@ -13,7 +13,13 @@ from clspool.arraycore import (
     backward,
     grad_check,
 )
-from oracles import attention_oracle, gelu_oracle, layer_norm_oracle
+from oracles import (
+    attention_oracle,
+    gelu_oracle,
+    layer_norm_oracle,
+    max_over_axis0_oracle,
+    select_max_norm_axis0_oracle,
+)
 
 
 def matmul_oracle(a, b):
@@ -683,3 +689,106 @@ class TestInPlaceKernels:
             assert out.data.tobytes() == want.tobytes(), shape
             for leaf, want_grad in zip(leaves, want_grads):
                 assert leaf.grad.tobytes() == want_grad.tobytes(), shape
+
+    @pytest.mark.parametrize("g_layout", ["contiguous", "strided"])
+    def test_gelu_and_layer_norm_match_at_the_train_b32_shape(self, g_layout):
+        rng = np.random.default_rng(14)
+        for shape in [(32, 17, 128), (32, 17, 32)]:
+            x = rng.normal(0.0, 2.0, size=shape).astype(np.float32)
+            g = rng.normal(size=shape).astype(np.float32)
+            if g_layout == "strided":  # the same values in another memory order
+                g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, 0, 1)), 0, 1)
+            leaf = ac.Array(x.copy())
+            if shape[-1] == 128:
+                want, want_grads = gelu_oracle(x, g)
+                want_grads = (want_grads,)
+                leaves, out = [leaf], ac.gelu(leaf)
+            else:
+                gain, bias = (rng.normal(size=shape[-1]).astype(np.float32) for _ in range(2))
+                want, want_grads = layer_norm_oracle(x, gain, bias, g)
+                leaves = [leaf, ac.Array(gain.copy()), ac.Array(bias.copy())]
+                out = ac.layer_norm(*leaves)
+            backward(out, seed=g)
+            assert out.data.tobytes() == want.tobytes(), shape
+            for got, want_grad in zip(leaves, want_grads):
+                assert got.grad.tobytes() == want_grad.tobytes(), shape
+            assert leaf.data.tobytes() == x.tobytes()  # the input is never written
+
+
+POOLS = {"max_over_axis0": (ac.max_over_axis0, max_over_axis0_oracle),
+         "select_max_norm_axis0": (ac.select_max_norm_axis0, select_max_norm_axis0_oracle)}
+
+
+def _pool_input(case, k, dtype, rng):
+    """A (k, 3, 5, 8) layer stack with the feature that ``case`` names, each
+    placed at its own rows so that the cases do not mask one another."""
+    theta = rng.normal(size=(k, 3, 5, 8)).astype(dtype)
+    if case == "ties":  # whole vectors (so elements and norms) equal across layers
+        theta[:, :, 0] = theta[0, :, 0]
+        theta[k // 2, :, 1] = theta[0, :, 1]
+        theta[k - 1, :, 2] = theta[0, :, 2]
+    elif case == "signed-zeros":  # +-0.0 ties, each sign order, at otherwise negative rows
+        theta[:, :, :3] = -np.abs(theta[:, :, :3])
+        theta[0, :, 0] = -0.0
+        theta[k - 1, :, 0] = 0.0
+        theta[0, :, 1] = 0.0
+        theta[k - 1, :, 1] = -0.0
+        theta[:, :, 2] = -0.0
+        theta[k // 2, :, 2, ::2] = 0.0
+    elif case == "nan-one-layer":
+        theta[k - 1, :, 0, 3] = np.nan
+        theta[0, :, 1, 5] = np.nan
+    elif case == "nan-two-layers":
+        theta[0, :, 0, 3] = np.nan
+        theta[k - 1, :, 0, 3] = np.nan  # and, in the vector, at another element
+        theta[k - 1, :, 1, 6] = np.nan
+        theta[k // 2, :, 1, 1] = np.nan
+    elif case == "equal-norms":  # other values, the same norm bit for bit
+        theta[:, :, 0] = theta[0, :, 0]
+        theta[k - 1, :, 0] *= -1.0
+        theta[k // 2, :, 1] = -theta[0, :, 1]
+        theta[:, :, 2] = 0.0
+    return theta
+
+
+class TestPoolsMatchArgmaxBitwise:
+    """The layer pools find their winners without an argmax over axis 0; the
+    argmax, take_along_axis and put_along_axis expressions in tests/oracles.py
+    are the reference, forward and gradient, byte for byte."""
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["random", "ties", "signed-zeros", "nan-one-layer",
+                                      "nan-two-layers", "equal-norms"])
+    def test_forward_and_gradient_bytes(self, pool, dtype, case):
+        op, oracle = POOLS[pool]
+        rng = np.random.default_rng(15)
+        for k in (1, 3, 4):
+            theta = _pool_input(case, k, dtype, rng)
+            g = rng.normal(size=theta.shape[1:]).astype(dtype)
+            want, want_grad = oracle(theta, g)
+            leaf = ac.Array(theta.copy())
+            out = op(leaf)
+            backward(out, seed=g)
+            assert out.data.tobytes() == want.tobytes(), k
+            assert leaf.grad.tobytes() == want_grad.tobytes(), k
+            with ac.no_grad():
+                assert op(leaf).data.tobytes() == want.tobytes(), k
+            assert leaf.data.tobytes() == theta.tobytes()
+
+    def test_the_cases_hold_what_they_name(self):
+        rng = np.random.default_rng(15)
+        for dtype in (np.float32, np.float64):
+            theta = _pool_input("ties", 3, dtype, rng)
+            assert ((theta == theta.max(axis=0)).sum(axis=0) > 1).any()
+            theta = _pool_input("signed-zeros", 4, dtype, rng)
+            top = theta.max(axis=0)
+            assert (top == 0).any() and np.signbit(theta[0, :, 0]).all()
+            assert not np.signbit(theta[0, :, 1]).any() and np.signbit(theta[3, :, 1]).all()
+            for case in ("equal-norms", "signed-zeros"):
+                theta = _pool_input(case, 4, dtype, rng)
+                norms = np.sqrt((theta ** 2).sum(axis=-1))
+                assert ((norms == norms.max(axis=0)).sum(axis=0) > 1).any()
+                assert theta[0, :, 0].tobytes() != theta[3, :, 0].tobytes()  # other bits
+            theta = _pool_input("nan-two-layers", 3, dtype, rng)
+            assert (np.isnan(theta).any(axis=-1).sum(axis=0) == 2).any()

@@ -179,6 +179,73 @@ class TestExitCodes:
         assert not out.exists()  # refused before anything is written
 
 
+class TestRunSettingRefusals:
+    """Settings no run can use exit 2 before any run or output directory."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, tmp_path, monkeypatch, capsys, jobs):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("a cell ran"))
+        out = tmp_path / "out"
+        rc = run_cli("compare", "--task", "pattern", *TINY, "--head", "baseline",
+                     "--head", "mha:h=2", "--jobs", jobs, "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs, cells, workers", [(8, 2, 2), (2, 3, 2), (3, 3, 3)])
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch, jobs, cells,
+                                                 workers):
+        import clspool.cli as cli
+        started = []
+
+        class Recorder:  # stands in for the pool, so no process starts
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        heads = ["baseline", "mha:h=2", "maxcls:k=2"][:cells]
+        rc = run_cli("compare", "--task", "pattern", *TINY,
+                     *[a for h in heads for a in ("--head", h)], "--seed", "1",
+                     "--jobs", str(jobs), "--out", str(tmp_path))
+        assert rc == 0
+        assert started == [workers]
+
+    @pytest.mark.parametrize("heads", ["0", "-4"])
+    def test_enc_heads_below_one(self, tmp_path, capsys, heads):
+        out = tmp_path / "out"
+        rc = run_cli("train", "--task", "pattern", *TINY, "--enc-heads", heads,
+                     "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: EncoderConfig: num_heads_encoder must be >= 1, got {heads}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_seq_len_with_its_cls_slot_beyond_max_seq_len(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        heads = ["--head", "baseline"] + (["--head", "mha:h=2"] if command == "compare" else [])
+        rc = run_cli(command, "--task", "pattern", *TINY, *heads, "--seq-len", "70",
+                     "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: --seq-len 70 plus the one [CLS] slot "
+                                           "exceeds --max-seq-len 64\n")
+        assert not out.exists()
+
+    def test_seq_len_that_fills_max_seq_len_runs(self, tmp_path):
+        assert run_cli("train", "--task", "pattern", *TINY, "--seq-len", "7",
+                       "--max-seq-len", "8", "--out", str(tmp_path)) == 0
+
+
 class TestTrainCommand:
     def test_writes_metrics_and_checkpoint(self, tmp_path, capsys):
         rc = run_cli("train", "--task", "pattern", *TINY,
