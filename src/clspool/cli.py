@@ -206,28 +206,40 @@ def _load_datasets(exp: ExperimentConfig):
     raise CliError("no input: pass --task NAME or --data PATH")
 
 
-def _check_run_settings(exp: ExperimentConfig) -> None:
-    """Refuse settings no run can use, before any run or output directory."""
+def _plan(exp: ExperimentConfig, heads: list[str],
+          sizes=(None,)) -> list[list[tuple]]:
+    """Check every setting, load the data once and build every run, before any
+    run starts or any output exists. Returns, per training-set size (None: the
+    whole set), one (task, head spec, config, train set, eval set) cell per head
+    and seed, in head-then-seed order."""
     if exp.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {exp.jobs}")
     if exp.task and exp.seq_len + 1 > exp.max_seq_len:
         raise CliError(f"--seq-len {exp.seq_len} plus the one [CLS] slot exceeds "
                        f"--max-seq-len {exp.max_seq_len}")
-
-
-def _train_config(exp: ExperimentConfig, head_spec: str, seed: int,
-                  loss: str) -> TrainConfig:
-    head = parse_head_spec(head_spec)
-    if head.uses_depth and head.k > exp.num_layers:
-        raise CliError(f"head '{head_spec}': k={head.k} exceeds num_layers="
-                       f"{exp.num_layers}")
+    kinds = [parse_head_spec(spec) for spec in heads]
+    for given in ([f"head '{kind.spec()}'" for kind in kinds],
+                  [f"seed {seed}" for seed in exp.seeds],
+                  [f"size {'full' if size is None else size}" for size in sizes]):
+        repeated = next((v for i, v in enumerate(given) if v in given[:i]), None)
+        if repeated:
+            raise CliError(f"{repeated} is given twice")
+    train_set, eval_set, task, loss = _load_datasets(exp)
     enc = EncoderConfig(vocab_size=exp.vocab_size, num_layers=exp.num_layers,
                         d_model=exp.d_model, num_heads_encoder=exp.enc_heads,
                         max_seq_len=exp.max_seq_len, dropout=exp.dropout)
-    return TrainConfig(encoder=enc, head=head, learning_rate=exp.lr,
-                       epochs=exp.epochs, batch_size=exp.batch_size,
-                       warmup_ratio=exp.warmup_ratio,
-                       weight_decay=exp.weight_decay, seed=seed, loss=loss)
+    cfgs = [(spec, TrainConfig(encoder=enc, head=kind, learning_rate=exp.lr,
+                               epochs=exp.epochs, batch_size=exp.batch_size,
+                               warmup_ratio=exp.warmup_ratio, weight_decay=exp.weight_decay,
+                               seed=seed, loss=loss))
+            for spec, kind in zip(heads, kinds) for seed in exp.seeds]
+    plan = []
+    for size in sizes:
+        subset = train_set if size is None else subsample(train_set, size, exp.data_seed)
+        if loss == "cross_entropy":
+            check_class_labels(subset, eval_set)
+        plan.append([(task, spec, cfg, subset, eval_set) for spec, cfg in cfgs])
+    return plan
 
 
 def _slug(head_spec: str) -> str:
@@ -241,35 +253,27 @@ def _run_record(task: str, head_spec: str, seed: int, result: TrainResult) -> di
             "n_eval": result.n_eval, "wall_time_s": result.wall_time_s}
 
 
-def _run_cell(cell) -> dict:
-    """One (head, seed) run of a grid on data it loads itself, so that every
-    --jobs value runs the same code. A diverged run becomes an error record."""
-    exp, head_spec, seed, subsample_n = cell
-    train_set, eval_set, task, loss = _load_datasets(exp)
-    if subsample_n is not None:
-        train_set = subsample(train_set, subsample_n, exp.data_seed)
-    cfg = _train_config(exp, head_spec, seed, loss)
+def _run_cell(cell: tuple) -> dict:
+    """Train one planned cell and return its record; a diverged run becomes an
+    error record."""
+    task, head_spec, cfg, train_set, eval_set = cell
     try:
         _, result = train(cfg, train_set, eval_set)
     except TrainingError as err:
-        return {"task": task, "head": head_spec, "seed": seed,
+        return {"task": task, "head": head_spec, "seed": cfg.seed,
                 "metrics": {}, "error": str(err), "wall_time_s": 0.0}
-    return _run_record(task, head_spec, seed, result)
+    return _run_record(task, head_spec, cfg.seed, result)
 
 
-def _run_grid(exp: ExperimentConfig, heads: list[str], out_dir: Path,
-              subsample_n: int | None = None, where: str = "") -> tuple[list[RunReport], int]:
-    """All (head, seed) runs in deterministic order, each run's JSON written as
-    soon as it is back and each failed run named on stderr after ``where``.
-    Returns the per-head reports and the grid command's exit code."""
-    _check_run_settings(exp)
-    for spec in heads:
-        _train_config(exp, spec, 0, "cross_entropy")  # validate before any run
-    cells = [(exp, spec, seed, subsample_n) for spec in heads for seed in exp.seeds]
+def _run_grid(cells: list[tuple], heads: list[str], jobs: int, out_dir: Path,
+              where: str = "") -> tuple[list[RunReport], int]:
+    """All planned runs in order, each run's JSON written as soon as it is back
+    and each failed run named on stderr after ``where``. Returns the per-head
+    reports and the grid command's exit code."""
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    workers = min(exp.jobs, len(cells))  # a fork pool starts all its workers at once
+    workers = min(jobs, len(cells))  # a fork pool starts all its workers at once
     parallel = workers > 1
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         for record in (pool.map if parallel else map)(_run_cell, cells):
@@ -402,9 +406,7 @@ def cmd_train(args) -> int:
     if len(exp.seeds) != 1:
         raise CliError("train runs a single seed; pass exactly one --seed")
     head_spec, seed = exp.heads[0], exp.seeds[0]
-    _check_run_settings(exp)
-    train_set, eval_set, task, loss = _load_datasets(exp)
-    cfg = _train_config(exp, head_spec, seed, loss)
+    [[(task, _, cfg, train_set, eval_set)]] = _plan(exp, exp.heads)
     model, result = train(cfg, train_set, eval_set)
     out_dir = Path(exp.out)  # made only once train() has accepted the inputs
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -421,8 +423,9 @@ def cmd_compare(args) -> int:
     exp = _experiment_from_args(args)
     if len(exp.heads) < 2:
         raise CliError("compare needs at least two --head values")
+    [cells] = _plan(exp, exp.heads)
     out_dir = Path(exp.out)
-    reports, status = _run_grid(exp, exp.heads, out_dir)
+    reports, status = _run_grid(cells, exp.heads, exp.jobs, out_dir)
     mean_table = format_mean_table(reports)
     std_table = format_std_table(reports)
     (out_dir / "compare.txt").write_text(mean_table, encoding="utf-8")
@@ -437,16 +440,14 @@ def cmd_compare(args) -> int:
 def cmd_ablate_k(args) -> int:
     exp = _experiment_from_args(args)
     ks = args.k or list(range(1, exp.num_layers + 1))
-    for k in ks:
-        if not 1 <= k <= exp.num_layers:
-            raise CliError(f"ablate-k: k={k} outside [1, {exp.num_layers}]")
     num_heads = args.pool_heads or 4
     base = HeadKind(args.pool or "maxseq+mha")
     if not (base.uses_depth and base.uses_attention):
         raise CliError(f"ablate-k: cannot sweep k for head kind '{base.kind}'")
     heads = [f"{base.kind}:k={k},h={num_heads}" for k in ks]
+    [cells] = _plan(exp, heads)
     out_dir = Path(exp.out)
-    reports, status = _run_grid(exp, heads, out_dir)
+    reports, status = _run_grid(cells, heads, exp.jobs, out_dir)
     table = _table("k", 6, [(f"k = {k}", _means(r)) for k, r in zip(ks, reports)],
                    _metric_columns(reports))
     (out_dir / "ablate_k.txt").write_text(table, encoding="utf-8")
@@ -459,22 +460,15 @@ def cmd_lowres(args) -> int:
     exp = _experiment_from_args(args)
     if not args.size:
         raise CliError("lowres needs at least one --size (int or 'full')")
-    sizes = []
-    for raw in args.size:
-        if raw == "full":
-            sizes.append(None)
-        else:
-            value = int(raw)
-            if value < 1:
-                raise CliError(f"lowres: size must be >= 1, got {value}")
-            sizes.append(value)
+    sizes = [None if raw == "full" else int(raw) for raw in args.size]
+    plan = _plan(exp, exp.heads, sizes)
     out_dir = Path(exp.out)
     rows = []
     status = 0
-    for size in sizes:
+    for size, cells in zip(sizes, plan):
         label = "full" if size is None else str(size)
         sub_dir = out_dir / f"size_{label}"
-        reports, failed = _run_grid(exp, exp.heads, sub_dir, size, f"size={label} ")
+        reports, failed = _run_grid(cells, exp.heads, exp.jobs, sub_dir, f"size={label} ")
         status = failed or status
         (sub_dir / "compare.txt").write_text(format_mean_table(reports),
                                              encoding="utf-8")

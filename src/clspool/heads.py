@@ -175,10 +175,6 @@ def xavier_uniform_init(rows: int, cols: int, rng: np.random.Generator,
 def init_head_params(kind: HeadKind, d_model: int, n_classes: int,
                      rng: np.random.Generator, dtype=np.float64) -> HeadParams:
     """Fresh head parameters; attention weights Xavier-uniform, zero classifier bias."""
-    if kind.uses_attention and d_model % kind.num_heads != 0:
-        raise ConfigurationError(
-            f"head '{kind.spec()}': num_heads {kind.num_heads} does not divide "
-            f"d_model {d_model}")
     params = HeadParams(
         w_cls=xavier_uniform_init(d_model, n_classes, rng, dtype),
         b_cls=Array(np.zeros(n_classes, dtype=dtype)),

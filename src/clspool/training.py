@@ -26,7 +26,8 @@ from . import arraycore as ac
 from .arraycore import Array
 from .data import Example, PAD_ID, SchemaError
 from .encoder import EncoderConfig, EncoderParams, encode, init_encoder_params
-from .heads import HeadKind, HeadParams, head_forward, init_head_params, parse_head_spec
+from .heads import (ConfigurationError, HeadKind, HeadParams, head_forward, init_head_params,
+                    parse_head_spec)
 from .metrics import accuracy, f1_binary, matthews_corr, spearman_rho_flagged
 
 __all__ = [
@@ -79,6 +80,13 @@ class TrainConfig:
     loss: str = "cross_entropy"  # or "squared_error"
 
     def __post_init__(self):
+        head, enc = self.head, self.encoder  # the only check that a head fits its encoder
+        if head.uses_depth and head.k > enc.num_layers:
+            raise ConfigurationError(f"head '{head.spec()}': k={head.k} exceeds "
+                                     f"num_layers={enc.num_layers}")
+        if head.uses_attention and enc.d_model % head.num_heads != 0:
+            raise ConfigurationError(f"head '{head.spec()}': num_heads {head.num_heads} "
+                                     f"does not divide d_model {enc.d_model}")
         if not 0 < self.learning_rate < inf:  # also refuses nan
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.weight_decay < inf:
@@ -291,11 +299,8 @@ def check_class_labels(train_set: list[Example], eval_set: list[Example]) -> Non
 def _infer_n_classes(cfg: TrainConfig, train_set, eval_set) -> int:
     if cfg.loss == "squared_error":
         return 1
-    labels = [ex.label for ex in train_set] + [ex.label for ex in eval_set]
-    if not all(isinstance(lab, (int, np.integer)) for lab in labels):
-        raise TrainingError("cross_entropy training needs integer labels")
     check_class_labels(train_set, eval_set)
-    return max(2, max(labels) + 1)
+    return max(2, 1 + max(ex.label for ex in train_set + eval_set))
 
 
 def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],

@@ -30,6 +30,7 @@ from clspool.training import TrainResult, load_checkpoint
 TINY = ["--train-size", "48", "--eval-size", "16", "--seq-len", "8",
         "--vocab-size", "30", "--num-layers", "2", "--d-model", "16",
         "--enc-heads", "2", "--epochs", "1", "--lr", "1e-3", "--dropout", "0.0"]
+SMALL = ["--train-size", "16", "--eval-size", "8"]  # data for a refusal after the load
 
 
 def run_cli(*argv) -> int:
@@ -108,7 +109,7 @@ class TestExitCodes:
                      "--head", "baseline", "--head", "mha:h=2", "--out", str(tmp_path))
         assert rc == 2
         assert "training example 3: class label -1" in capsys.readouterr().err
-        assert not list((tmp_path / "runs").glob("*.json"))  # no run trained
+        assert not (tmp_path / "runs").exists()  # refused before any output
 
 
     def test_class_label_beyond_bound_is_usage_error(self, tmp_path, capsys):
@@ -169,8 +170,32 @@ class TestExitCodes:
         (["eval", "--task", "pattern"], "eval needs --ckpt PATH"),
         (["compare", "--task", "pattern", "--num-layers", "2", "--head", "baseline",
           "--head", "maxcls:k=3"], "head 'maxcls:k=3': k=3 exceeds num_layers=2"),
+        (["compare", "--task", "pattern", *SMALL, "--d-model", "16", "--enc-heads", "2",
+          "--head", "baseline", "--head", "mha:h=3"],
+         "head 'mha:h=3': num_heads 3 does not divide d_model 16"),
+        (["lowres", "--task", "pattern", *SMALL, "--head", "baseline", "--head", "mha:h=2",
+          "--size", "8", "--size", "50"], "subsample: n=50 out of range [1, 16]"),
+        (["compare", "--task", "pairsim", "--seq-len", "3", "--head", "baseline",
+          "--head", "mha"], "pair_similarity: need seq_len >= 5 for two sets and [SEP]"),
+        (["compare", "--task", "pattern", "--train-size", "0", "--head", "baseline",
+          "--head", "mha"], "dataset sizes must be >= 1"),
+        (["compare", "--task", "pattern", "--head", "baseline", "--head", "mha:h=2",
+          "--head", "baseline"], "head 'baseline' is given twice"),
+        (["compare", "--task", "pattern", "--head", "mha", "--head", "mha:h=4"],
+         "head 'mha:h=4' is given twice"),
+        (["ablate-k", "--task", "pattern", "--k", "2", "--k", "1", "--k", "2"],
+         "head 'maxseq+mha:k=2,h=4' is given twice"),
+        (["compare", "--task", "pattern", "--head", "baseline", "--head", "mha",
+          "--seed", "1", "--seed", "2", "--seed", "1"], "seed 1 is given twice"),
+        (["lowres", "--task", "pattern", "--head", "baseline", "--head", "mha",
+          "--size", "8", "--size", "full", "--size", "8"], "size 8 is given twice"),
+        (["lowres", "--task", "pattern", "--head", "baseline", "--head", "mha",
+          "--size", "full", "--size", "full"], "size full is given twice"),
     ])
-    def test_usage_error_names_its_cause(self, tmp_path, capsys, argv, message):
+    def test_usage_error_names_its_cause(self, tmp_path, monkeypatch, capsys, argv,
+                                         message):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("a run started"))
         data = _write_jsonl(tmp_path / "tr.jsonl", [{"tokens": [5], "label": 1}])
         out = tmp_path / "out"
         rc = run_cli(*[a.replace("{data}", data) for a in argv], "--out", str(out))
@@ -348,6 +373,17 @@ class TestCompareCommand:
             base_mean = by_head_metric[("baseline", metric)][0]
             assert delta == mean - base_mean
 
+    def test_grid_builds_its_data_once(self, tmp_path, monkeypatch):
+        import clspool.cli as cli
+        real, specs = cli.gen_synthetic, []
+        monkeypatch.setattr(cli, "gen_synthetic", lambda spec: specs.append(spec) or real(spec))
+        rc = run_cli("compare", "--task", "pattern", *TINY, "--head", "baseline",
+                     "--head", "mha:h=2", "--seed", "1", "--seed", "2", "--jobs", "1",
+                     "--out", str(tmp_path))
+        assert rc == 0
+        assert len(specs) == 1
+        assert len(list((tmp_path / "runs").glob("*.json"))) == 4
+
     def test_failed_run_marks_cells_and_propagates(self, tmp_path, monkeypatch,
                                                    capsys):
         import clspool.cli as cli
@@ -382,6 +418,38 @@ class TestAblateAndLowres:
         assert rc == 0
         table = (tmp_path / "ablate_k.txt").read_text()
         assert "k = 1" in table and "k = 2" in table
+
+    def test_ablate_k_report_bytes(self, tmp_path, monkeypatch, capsys):
+        import clspool.cli as cli
+
+        def fixed(cfg, train_set, eval_set, **kw):
+            acc = 0.5 + cfg.head.k / 8 + cfg.seed / 64
+            return None, TrainResult(
+                eval_metrics={"accuracy": acc, "f1": acc / 3, "mcc": -acc / 7},
+                train_metrics={"accuracy": 1.0}, final_loss=0.5,
+                n_train=len(train_set), n_eval=len(eval_set), wall_time_s=0.0)
+
+        monkeypatch.setattr(cli, "train", fixed)
+        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--heads", "2",
+                     "--seed", "1", "--seed", "2", "--out", str(tmp_path))
+        assert rc == 0
+        table = ("k           Acc.        F1       MCC\n"
+                 "k = 1     0.6484    0.2161   -0.0926\n"
+                 "k = 2     0.7734    0.2578   -0.1105\n")
+        assert (tmp_path / "ablate_k.txt").read_text() == table
+        assert capsys.readouterr().out == table + "\n"
+        assert (tmp_path / "ablate_k.csv").read_text() == (
+            "head,metric,seed_1,seed_2,mean,std,delta\n"
+            '"maxseq+mha:k=1,h=2",accuracy,0.640625,0.65625,0.6484375,0.0078125,\n'
+            '"maxseq+mha:k=1,h=2",f1,0.21354166666666666,0.21875,0.21614583333333331,'
+            "0.0026041666666666713,\n"
+            '"maxseq+mha:k=1,h=2",mcc,-0.09151785714285714,-0.09375,-0.09263392857142858,'
+            "0.0011160714285714315,\n"
+            '"maxseq+mha:k=2,h=2",accuracy,0.765625,0.78125,0.7734375,0.0078125,\n'
+            '"maxseq+mha:k=2,h=2",f1,0.2552083333333333,0.2604166666666667,0.2578125,'
+            "0.002604166666666685,\n"
+            '"maxseq+mha:k=2,h=2",mcc,-0.109375,-0.11160714285714286,-0.11049107142857142,'
+            "0.0011160714285714315,\n")
 
     def test_lowres_csv_bytes_with_one_seed_and_no_baseline(self, tmp_path, monkeypatch,
                                                            capsys):

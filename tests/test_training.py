@@ -13,7 +13,7 @@ from clspool import arraycore as ac
 from clspool.arraycore import Array, backward, grad_check
 from clspool.data import Example, SchemaError, SyntheticTaskSpec, gen_synthetic, load_jsonl
 from clspool.encoder import EncoderConfig
-from clspool.heads import HeadKind, parse_head_spec
+from clspool.heads import ConfigurationError, HeadKind, parse_head_spec
 from clspool.training import (
     CLIP_NORM,
     MAX_CLASSES,
@@ -226,6 +226,12 @@ class TestClassLabelBound:
         with pytest.raises(SchemaError, match="eval example 2"):
             train(small_cfg(epochs=1), examples[:1], examples)
 
+    def test_real_label_is_refused_by_the_class_label_check(self):
+        examples = [Example(token_ids=[1, 5], label=0.5), Example(token_ids=[1, 6], label=1)]
+        with pytest.raises(SchemaError) as err:
+            train(small_cfg(epochs=1), examples, examples)
+        assert str(err.value) == "training example 1: class label 0.5 is not an integer"
+
     def test_label_below_bound_sizes_the_classifier(self):
         top = Example(token_ids=[1, 5], label=MAX_CLASSES - 1)
         assert _infer_n_classes(small_cfg(), [top], [top]) == MAX_CLASSES
@@ -278,6 +284,18 @@ class TestConfigChecks:
 
     def test_zero_weight_decay_is_allowed(self):
         TrainConfig(encoder=EncoderConfig(vocab_size=30), weight_decay=0.0)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("maxcls:k=3", "head 'maxcls:k=3': k=3 exceeds num_layers=2"),
+        ("normseq+mha:k=3,h=2", "head 'normseq+mha:k=3,h=2': k=3 exceeds num_layers=2"),
+        ("mha:h=3", "head 'mha:h=3': num_heads 3 does not divide d_model 16"),
+        ("meanseq+mha:k=2,h=32", "head 'meanseq+mha:k=2,h=32': num_heads 32 does not "
+                                 "divide d_model 16"),
+    ])
+    def test_head_that_does_not_fit_its_encoder(self, spec, message):
+        with pytest.raises(ConfigurationError) as err:
+            small_cfg(head=parse_head_spec(spec))  # 2 layers, d_model 16
+        assert str(err.value) == message
 
 
 class TestTrainLoop:
@@ -490,6 +508,21 @@ def test_checkpoint_refusal_names_its_cause(tmp_path, write, message):
     with pytest.raises(CheckpointError) as err:
         model_from_checkpoint(path)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("head, fault", [
+    ("maxseq+mha:k=2,h=2", "k=2 exceeds num_layers=1"),
+    ("maxseq+mha:k=1,h=3", "num_heads 3 does not divide d_model 8"),
+])
+def test_checkpoint_head_that_does_not_fit_its_encoder_is_refused_at_load(tmp_path, head,
+                                                                          fault):
+    blob = GOLDEN_CHECKPOINT.read_bytes()
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_resealed(blob.replace(b"head=maxseq+mha:k=1,h=2",
+                                            f"head={head}".encode())))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"format error: head '{head}': {fault}"
 
 
 # bytes that keep mutated config text close to parseable
