@@ -88,6 +88,10 @@ class Node:
     A node never refers to the array it produced (only that array refers to
     it), so a graph holds no reference cycles and refcounting frees it as soon
     as its root is dropped.
+
+    ``bwd`` never writes into its incoming gradient: backward stores a
+    gradient it is handed without copying it, and one buffer can reach several
+    inputs (``add`` returns it twice, ``stack_axis0`` returns views of it).
     """
 
     __slots__ = ("op", "inputs", "bwd")
@@ -157,6 +161,11 @@ class Tape:
     ``outputs`` holds the arrays, ``nodes`` their nodes in the same order.
     Every array's inputs precede it; the backward traversal in
     :meth:`run_backward` therefore visits each node exactly once, in reverse.
+
+    Backward frees as it goes: an op output's gradient is dropped as soon as
+    its node's ``bwd`` has consumed it, so after the pass every non-leaf
+    ``.grad`` is None and only the leaves hold gradients. Running backward
+    again on the same root starts over from the seed and adds into the leaves.
     """
 
     def __init__(self, outputs: list[Array]):
@@ -195,13 +204,19 @@ class Tape:
                 continue
             node = out.node
             grads = node.bwd(out.grad)
+            out.grad = None
             for inp, g in zip(node.inputs, grads):
                 if g is None:
                     continue
-                if inp.grad is None:
-                    inp.grad = np.array(g, dtype=inp.data.dtype, copy=True)
-                else:
-                    inp.grad += g
+                if inp.node is None:  # a leaf owns its buffer (or the optimizer does)
+                    if inp.grad is None:
+                        inp.grad = np.array(g, dtype=inp.data.dtype, copy=True)
+                    else:
+                        inp.grad += g
+                elif inp.grad is None:  # stored as returned: it may alias another gradient
+                    inp.grad = g.astype(inp.data.dtype, copy=False)
+                else:  # so later ones add out of place; the bits are those of +=
+                    inp.grad = np.add(inp.grad, g, out=np.empty_like(inp.grad))
 
 
 def backward(root: Array, seed: np.ndarray | None = None) -> None:
@@ -410,8 +425,8 @@ _GELU_A = 0.044715
 
 def gelu(x: Array) -> Array:
     """Tanh-form GELU; the backward is the exact derivative of this form."""
-    x2 = x.data * x.data  # x ** 3 would take numpy's pow path, 100x slower on float32
-    t = x2 * x.data  # then in place, in the order of 0.5*x * (1 + tanh(C*(x + A*(x2*x))))
+    t = x.data * x.data  # x ** 3 would take numpy's pow path, 100x slower on float32
+    t *= x.data  # then in place, in the order of 0.5*x * (1 + tanh(C*(x + A*((x*x)*x))))
     t *= _GELU_A
     t += x.data
     t *= _GELU_C
@@ -420,8 +435,10 @@ def gelu(x: Array) -> Array:
     out *= 1.0 + t
 
     def bwd(g):
-        # g * (0.5*(1 + t) + 0.5*x * (1 - t**2) * C*(1 + 3*A * x2)), in place in that order
-        du = x2 * (3.0 * _GELU_A)
+        # g * (0.5*(1 + t) + 0.5*x * (1 - t**2) * C*(1 + 3*A * (x*x))), in place in that
+        # order; x*x is recomputed, as keeping it would hold one more array per call
+        du = x.data * x.data
+        du *= 3.0 * _GELU_A
         du += 1.0
         du *= _GELU_C
         b = t * t
@@ -522,6 +539,8 @@ def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
         probs_out.append(p)
 
     def bwd(g):
+        # split again rather than kept: the node holds q, k and v anyway
+        qh, kh, vh = (_split_heads(x.data, num_heads) for x in (q, k, v))
         gh = _split_heads(g, num_heads)
         dp = gh @ np.swapaxes(vh, -1, -2)
         ds = dp  # p * (dp - rowsum(dp * p)) * c, in place and in that order

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from io import StringIO
@@ -171,6 +172,16 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _load_examples(flag: str, path: str, vocab, max_len: int) -> list:
+    """The examples of the JSONL file a flag names; a file with none is a usage
+    error."""
+    with _input_file(flag):
+        examples = load_jsonl(path, vocab, max_len=max_len)
+    if not examples:
+        raise CliError(f"{flag} file {path} holds no examples")
+    return examples
+
+
 def _load_datasets(exp: ExperimentConfig):
     """Returns (train_set, eval_set, task_name, loss_kind).
 
@@ -192,12 +203,10 @@ def _load_datasets(exp: ExperimentConfig):
     if exp.data:
         with _input_file("--vocab"):
             vocab = load_vocab(exp.vocab) if exp.vocab else None
-        with _input_file("--data"):
-            train_set = load_jsonl(exp.data, vocab, max_len=exp.max_seq_len)
+        train_set = _load_examples("--data", exp.data, vocab, exp.max_seq_len)
         if not exp.eval_data:
             raise CliError("--data also needs --eval-data")
-        with _input_file("--eval-data"):
-            eval_set = load_jsonl(exp.eval_data, vocab, max_len=exp.max_seq_len)
+        eval_set = _load_examples("--eval-data", exp.eval_data, vocab, exp.max_seq_len)
         largest_id = max((i for ex in train_set + eval_set for i in ex.token_ids), default=0)
         exp.vocab_size = max(exp.vocab_size, vocab.size if vocab else 0, largest_id + 1)
         labels_int = all(isinstance(ex.label, int) for ex in train_set + eval_set)
@@ -253,6 +262,12 @@ def _run_record(task: str, head_spec: str, seed: int, result: TrainResult) -> di
             "n_eval": result.n_eval, "wall_time_s": result.wall_time_s}
 
 
+def _error_record(cell: tuple, error: str) -> dict:
+    task, head_spec, cfg, *_ = cell
+    return {"task": task, "head": head_spec, "seed": cfg.seed,
+            "metrics": {}, "error": error, "wall_time_s": 0.0}
+
+
 def _run_cell(cell: tuple) -> dict:
     """Train one planned cell and return its record; a diverged run becomes an
     error record."""
@@ -260,23 +275,36 @@ def _run_cell(cell: tuple) -> dict:
     try:
         _, result = train(cfg, train_set, eval_set)
     except TrainingError as err:
-        return {"task": task, "head": head_spec, "seed": cfg.seed,
-                "metrics": {}, "error": str(err), "wall_time_s": 0.0}
+        return _error_record(cell, str(err))
     return _run_record(task, head_spec, cfg.seed, result)
+
+
+def _records(returned, cells: list[tuple]):
+    """The records ``returned`` yields, in cell order; once a worker process
+    dies, an error record for each cell that has not come back."""
+    done = 0
+    try:
+        for record in returned:
+            done += 1
+            yield record
+    except BrokenProcessPool:  # the pool gives back nothing more after one
+        for cell in cells[done:]:
+            yield _error_record(cell, "its worker process died before the run finished")
 
 
 def _run_grid(cells: list[tuple], heads: list[str], jobs: int, out_dir: Path,
               where: str = "") -> tuple[list[RunReport], int]:
     """All planned runs in order, each run's JSON written as soon as it is back
-    and each failed run named on stderr after ``where``. Returns the per-head
-    reports and the grid command's exit code."""
+    and each failed run (diverged, or lost with a worker process that died)
+    named on stderr after ``where``. Returns the per-head reports and the grid
+    command's exit code."""
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     records = []
     workers = min(jobs, len(cells))  # a fork pool starts all its workers at once
     parallel = workers > 1
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        for record in (pool.map if parallel else map)(_run_cell, cells):
+        for record in _records((pool.map if parallel else map)(_run_cell, cells), cells):
             name = f"{_slug(record['head'])}__seed{record['seed']}.json"
             (runs_dir / name).write_text(json.dumps(record, indent=2, sort_keys=True),
                                          encoding="utf-8")

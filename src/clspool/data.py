@@ -87,6 +87,7 @@ def load_vocab(path) -> Vocab:
 class Example:
     token_ids: list[int]
     label: int | float
+    source: str | None = field(default=None, compare=False)  # "<file name>:<line>" if loaded
 
     def __post_init__(self):
         if not self.token_ids or self.token_ids[0] != CLS_ID:
@@ -142,8 +143,9 @@ def load_jsonl(path, vocab: Vocab | None = None,
                max_len: int | None = None) -> list[Example]:
     """Read one JSON object per line; mixed token/text schemas are rejected.
 
-    Every malformed line raises SchemaError naming it. Whether integer labels
-    are class labels is decided where the loss is known, not here.
+    Every malformed line raises SchemaError naming it, and every example
+    records its file name and line as ``source``. Whether integer labels are
+    class labels is decided where the loss is known, not here.
     """
     blob = Path(path).read_bytes()
     try:
@@ -153,6 +155,7 @@ def load_jsonl(path, vocab: Vocab | None = None,
         raise SchemaError(f"line {line_no}: not valid UTF-8")
     examples: list[Example] = []
     schema_seen: str | None = None
+    name = Path(path).name
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not line.strip():
             continue
@@ -170,6 +173,7 @@ def load_jsonl(path, vocab: Vocab | None = None,
         elif schema != schema_seen:
             raise SchemaError(f"line {line_no}: mixed '{schema}' and "
                               f"'{schema_seen}' schemas in one file")
+        example.source = f"{name}:{line_no}"
         examples.append(example)
     return examples
 

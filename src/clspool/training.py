@@ -286,12 +286,12 @@ class TrainResult:
 
 def check_class_labels(train_set: list[Example], eval_set: list[Example]) -> None:
     """Refuse a class label that is not an integer in [0, MAX_CLASSES), naming
-    its example."""
+    its example by file and line when it was loaded from one."""
     for i, ex in enumerate(train_set + eval_set):  # the classifier has max + 1 columns
         integer = isinstance(ex.label, (int, np.integer))
         if not integer or not 0 <= ex.label < MAX_CLASSES:
-            where = f"training example {i + 1}" if i < len(train_set) \
-                else f"eval example {i - len(train_set) + 1}"
+            where = ex.source or (f"training example {i + 1}" if i < len(train_set)
+                                  else f"eval example {i - len(train_set) + 1}")
             fault = f"is outside [0, {MAX_CLASSES})" if integer else "is not an integer"
             raise SchemaError(f"{where}: class label {ex.label} {fault}")
 

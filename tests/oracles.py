@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from clspool.arraycore import LAYER_NORM_EPS, MASK_PENALTY
+from clspool.arraycore import LAYER_NORM_EPS, MASK_PENALTY, Tape
 from clspool.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingError, _decay_exempt
 
 
@@ -206,3 +206,27 @@ def select_max_norm_axis0_oracle(theta, g):
     gt = np.zeros_like(theta)
     np.put_along_axis(gt, idx_full.copy(), g[None, ...], axis=0)
     return out, gt
+
+
+# Tape.run_backward as it was before backward freed each gradient once used:
+# every first gradient copied, later ones added in place, and every gradient,
+# the root's and the intermediates' too, kept until the graph dies.
+
+def run_backward_oracle(root, seed=None):
+    tape = Tape.trace(root)
+    if seed is None:
+        seed = np.ones(root.shape, dtype=root.data.dtype)
+    root.grad = np.array(seed, dtype=root.data.dtype) if root.grad is None \
+        else root.grad + seed
+    for out in reversed(tape.outputs):
+        if out.grad is None:
+            continue
+        node = out.node
+        grads = node.bwd(out.grad)
+        for inp, g in zip(node.inputs, grads):
+            if g is None:
+                continue
+            if inp.grad is None:
+                inp.grad = np.array(g, dtype=inp.data.dtype, copy=True)
+            else:
+                inp.grad += g

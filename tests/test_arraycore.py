@@ -18,6 +18,7 @@ from oracles import (
     gelu_oracle,
     layer_norm_oracle,
     max_over_axis0_oracle,
+    run_backward_oracle,
     select_max_norm_axis0_oracle,
 )
 
@@ -792,3 +793,120 @@ class TestPoolsMatchArgmaxBitwise:
                 assert theta[0, :, 0].tobytes() != theta[3, :, 0].tobytes()  # other bits
             theta = _pool_input("nan-two-layers", 3, dtype, rng)
             assert (np.isnan(theta).any(axis=-1).sum(axis=0) == 2).any()
+
+
+def _aliasing_graphs():
+    """name -> build: build(leaves) records, over the leaves made by
+    _aliasing_leaves, a graph in which one gradient buffer reaches several
+    inputs or one array feeds several ops."""
+
+    def score(a, l):  # a non-uniform functional, so every gradient element counts
+        return ac.sum_all(ac.matmul(a, l["r"]))
+
+    def stacked(l):  # add hands both stacks one buffer; each stack returns two views of it
+        h, k = ac.gelu(ac.matmul(l["x"], l["w"])), ac.gelu(l["y"])
+        ln = ac.layer_norm(h, l["gain"], l["bias"])
+        both = ac.add(ac.stack_axis0([h, h, ln]), ac.stack_axis0([k, k, k]))
+        return score(ac.mean_over_axis0(both), l)
+
+    def shared_buffer(a, b):  # the outer add gives a the buffer the inner add then hands to b
+        return ac.add(ac.add(a, b), a)
+
+    def self_add(l):
+        h = ac.gelu(l["x"])
+        return score(ac.add(h, h), l)
+
+    def diamond(l):
+        h = ac.gelu(l["x"])
+        return score(ac.gelu(ac.add(ac.matmul(h, l["w"]), ac.matmul(h, l["w2"]))), l)
+
+    def three_way_fan_out(l):
+        h = ac.gelu(l["x"])
+        return score(ac.add(ac.matmul(h, l["w"]), ac.add(ac.matmul(h, l["w2"]), h)), l)
+
+    return {
+        "add-of-a-leaf-to-itself": lambda l: score(ac.add(l["x"], l["x"]), l),
+        "add-of-an-op-output-to-itself": self_add,
+        "diamond": diamond,
+        "three-way-fan-out": three_way_fan_out,
+        "stack-of-one-array-twice": stacked,
+        "leaves-sharing-a-buffer": lambda l: score(shared_buffer(l["x"], l["y"]), l),
+        "op-outputs-sharing-a-buffer": lambda l: score(
+            shared_buffer(ac.gelu(l["x"]), ac.gelu(l["y"])), l),
+        "leaf-used-by-two-ops": lambda l: score(ac.add(ac.matmul(l["x"], l["w"]), ac.add(
+            ac.gelu(l["x"]), ac.mask_rows(l["y"], np.ones(3)))), l),
+    }
+
+
+ALIASING_GRAPHS = sorted(_aliasing_graphs())
+
+
+def _aliasing_leaves(rng, dtype):
+    shapes = {"x": (3, 4), "y": (3, 4), "w": (4, 4), "w2": (4, 4), "r": (4, 1),
+              "gain": (4,), "bias": (4,)}
+    return {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+
+
+def _run_into_fresh_leaves(values, build, run):
+    """Leaves over copies of values, and the root, after run(root) on a new
+    graph over them."""
+    leaves = {name: Array(v.copy()) for name, v in values.items()}
+    root = build(leaves)
+    run(root)
+    return leaves, root
+
+
+def _same_grads(got, want):
+    return all((got[n].grad is None and want[n].grad is None)
+               or got[n].grad.tobytes() == want[n].grad.tobytes() for n in want)
+
+
+class TestFreeingBackward:
+    """Backward frees each op output's gradient once its node has used it and
+    stores first gradients uncopied; the leaves get the same bytes as from the
+    copy-then-add loop in tests/oracles.py."""
+
+    def test_no_bwd_writes_into_its_incoming_gradient(self):
+        rng = np.random.default_rng(21)
+        for name, call in _one_call_per_op(rng).items():
+            out = call()
+            g = rng.normal(size=out.shape).astype(out.data.dtype)
+            g_before = g.copy()
+            g.flags.writeable = False  # a write into it raises
+            out.node.bwd(g)
+            assert g.tobytes() == g_before.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("graph", ALIASING_GRAPHS)
+    def test_leaf_gradients_match_the_copying_loop_and_intermediates_are_freed(
+            self, dtype, graph):
+        values = _aliasing_leaves(np.random.default_rng(22), dtype)
+        build = _aliasing_graphs()[graph]
+        got, root = _run_into_fresh_leaves(values, build, backward)
+        want, _ = _run_into_fresh_leaves(values, build, run_backward_oracle)
+        assert _same_grads(got, want)
+        assert all(got[n].grad.dtype == dtype for n in ("x", "r"))
+        outputs = ac.Tape.trace(root).outputs
+        assert root in outputs and all(out.grad is None for out in outputs)
+
+    @pytest.mark.parametrize("graph", ALIASING_GRAPHS)
+    def test_a_second_backward_adds_what_a_fresh_graph_would(self, graph):
+        values = _aliasing_leaves(np.random.default_rng(23), np.float32)
+        build = _aliasing_graphs()[graph]
+        twice, root = _run_into_fresh_leaves(values, build, backward)
+        backward(root)
+        fresh = {name: Array(v.copy()) for name, v in values.items()}
+        backward(build(fresh))
+        backward(build(fresh))
+        assert _same_grads(twice, fresh)
+
+    def test_a_gradient_of_another_dtype_is_cast_to_its_op_output(self):
+        def build(l):  # hands the float64 gelu output a float32 gradient
+            h = ac.gelu(l["x"])
+            return Array(np.zeros(()), node=ac.Node(
+                "to_float32", (h,), lambda g: (np.full(h.shape, 0.1, np.float32),)))
+
+        values = {"x": np.array([[1.0, -2.0, 0.5]])}
+        got, _ = _run_into_fresh_leaves(values, build, backward)
+        want, _ = _run_into_fresh_leaves(values, build, run_backward_oracle)
+        assert got["x"].grad.dtype == np.float64 and _same_grads(got, want)

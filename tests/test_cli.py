@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -18,6 +19,7 @@ from clspool.cli import (
     CliError,
     ExperimentConfig,
     _experiment_from_args,
+    _run_cell,
     build_parser,
     build_reports,
     format_mean_table,
@@ -25,7 +27,15 @@ from clspool.cli import (
     main,
     write_compare_csv,
 )
-from clspool.training import TrainResult, load_checkpoint
+from clspool.encoder import EncoderConfig
+from clspool.heads import HeadKind
+from clspool.training import (
+    TrainConfig,
+    TrainResult,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 TINY = ["--train-size", "48", "--eval-size", "16", "--seq-len", "8",
         "--vocab-size", "30", "--num-layers", "2", "--d-model", "16",
@@ -108,7 +118,7 @@ class TestExitCodes:
                      "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", rows[:2]), *TINY,
                      "--head", "baseline", "--head", "mha:h=2", "--out", str(tmp_path))
         assert rc == 2
-        assert "training example 3: class label -1" in capsys.readouterr().err
+        assert "tr.jsonl:3: class label -1" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()  # refused before any output
 
 
@@ -119,7 +129,7 @@ class TestExitCodes:
                      "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", rows[:2]), *TINY,
                      "--head", "baseline", "--seed", "1", "--out", str(tmp_path))
         assert rc == 2
-        assert "training example 2: class label 1000000000000" in capsys.readouterr().err
+        assert "tr.jsonl:2: class label 1000000000000" in capsys.readouterr().err
 
     def test_negative_class_label_names_its_training_example(self, tmp_path, capsys):
         rows = [{"tokens": [5, 6], "label": -3 if i == 2 else i % 2} for i in range(8)]
@@ -127,7 +137,7 @@ class TestExitCodes:
                      "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", rows[:2]), *TINY,
                      "--head", "baseline", "--seed", "1", "--out", str(tmp_path / "out"))
         assert rc == 2
-        assert "training example 3: class label -3" in capsys.readouterr().err
+        assert "tr.jsonl:3: class label -3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # made only after train() accepts the data
 
     def test_eval_of_a_classifier_refuses_a_negative_label(self, tmp_path, capsys):
@@ -142,7 +152,7 @@ class TestExitCodes:
                      *TINY)
         assert rc == 2
         captured = capsys.readouterr()
-        assert "eval example 2: class label -1" in captured.err and not captured.out
+        assert "ev.jsonl:2: class label -1" in captured.err and not captured.out
 
     def test_eval_of_a_classifier_refuses_a_real_label(self, tmp_path, capsys):
         rows = [{"tokens": [5, 6, i % 7], "label": i % 2} for i in range(8)]
@@ -156,8 +166,49 @@ class TestExitCodes:
                      *TINY)
         assert rc == 2
         captured = capsys.readouterr()
-        assert "eval example 1: class label 0.5 is not an integer" in captured.err
+        assert "ev.jsonl:1: class label 0.5 is not an integer" in captured.err
         assert not captured.out
+
+    def test_class_label_error_names_its_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"  # line 2 is blank, so example 2 sits on line 3
+        bad.write_text('{"tokens": [5], "label": 0}\n\n{"tokens": [6], "label": -3}\n'
+                       '{"tokens": [7], "label": 1}\n', encoding="utf-8")
+        rc = run_cli("train", "--data", str(bad), "--eval-data", str(bad), *TINY,
+                     "--head", "baseline", "--seed", "1", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: bad.jsonl:3: class label -3 is outside [0, 10000)\n"
+
+    @pytest.mark.parametrize("flag", ["--data", "--eval-data"])
+    @pytest.mark.parametrize("command, argv", [
+        ("train", ["--head", "baseline", "--seed", "1"]),
+        ("compare", ["--head", "baseline", "--head", "mha:h=2"]),
+        ("ablate-k", []),
+        ("lowres", ["--head", "baseline", "--head", "mha:h=2", "--size", "2"]),
+        ("eval", ["--ckpt", "{ckpt}"]),
+    ])
+    def test_empty_data_file_is_refused_before_any_output(self, tmp_path, monkeypatch,
+                                                         capsys, flag, command, argv):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("a run started"))
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **kw: pytest.fail("eval ran"))
+        rows = [{"tokens": [5], "label": i % 2} for i in range(4)]
+        files = {"--data": _write_jsonl(tmp_path / "tr.jsonl", rows),
+                 "--eval-data": _write_jsonl(tmp_path / "ev.jsonl", rows[:1])}
+        files[flag] = _write_jsonl(tmp_path / "empty.jsonl", [])
+        ckpt = tmp_path / "model.ckpt"
+        if command == "eval":
+            cfg = TrainConfig(encoder=EncoderConfig(vocab_size=30, num_layers=2, d_model=16,
+                                                    num_heads_encoder=2),
+                              head=HeadKind("baseline"), learning_rate=1e-3)
+            save_checkpoint(ckpt, build_model(cfg, 2), cfg)
+        out = tmp_path / "out"
+        rc = run_cli(command, *[a for item in files.items() for a in item], *TINY,
+                     *[a.replace("{ckpt}", str(ckpt)) for a in argv], "--out", str(out))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} file {files[flag]} holds no examples\n"
+        assert not captured.out and not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--task", "pattern", "--head", "baseline", "--head", "mha:h=2",
@@ -401,6 +452,21 @@ class TestCompareCommand:
         assert rc == 1
         assert "n/a" in (tmp_path / "compare.txt").read_text()
         assert "injected divergence" in capsys.readouterr().err
+
+    def test_a_dead_worker_is_a_failed_run(self, tmp_path, monkeypatch, capsys):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "_run_cell", _exit_in_mha_cells)
+        rc = run_cli("compare", "--task", "pattern", *TINY, "--head", "baseline",
+                     "--head", "mha:h=2", "--jobs", "2", "--out", str(tmp_path))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("run failed: head=mha:h=2 seed=0: its worker process died before the run "
+                "finished\n") in err and "Traceback" not in err
+        dead = json.loads((tmp_path / "runs" / "mha-h-2__seed0.json").read_text())
+        assert dead["error"] and dead["metrics"] == {}
+        # the other cell is back unless the pool broke while it still ran
+        assert (tmp_path / "runs" / "baseline__seed0.json").exists()
+        assert (tmp_path / "compare.txt").exists() and (tmp_path / "compare.csv").exists()
 
     def test_without_baseline_delta_omitted(self, tmp_path):
         rc = run_cli("compare", "--task", "pattern", *TINY,
@@ -694,6 +760,14 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # exits on a parse error
+
+
+def _exit_in_mha_cells(cell):
+    """Stands in for cli._run_cell in a grid worker: the process running an
+    'mha' cell exits at once, every other cell trains as usual."""
+    if cell[1].startswith("mha"):
+        os._exit(3)
+    return _run_cell(cell)
 
 
 def _write_jsonl(path, rows):

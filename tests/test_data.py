@@ -1,4 +1,5 @@
 import json
+import pickle
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -137,7 +138,7 @@ class TestJsonl:
                         encoding="utf-8")
         examples = load_jsonl(path)
         assert [ex.label for ex in examples] == [0, -1]
-        with pytest.raises(SchemaError, match="training example 2: class label -1"):
+        with pytest.raises(SchemaError, match="d.jsonl:2: class label -1"):
             check_class_labels(examples, [])
 
     def test_label_beyond_float_range_loads_as_int(self, tmp_path):
@@ -159,7 +160,19 @@ class TestJsonl:
         path.write_text("".join(json.dumps({"tokens": ex.token_ids[1:], "label": ex.label})
                                 + "\n" for ex in train), encoding="utf-8")
         back = load_jsonl(path)
-        assert back == train
+        assert back == train  # the source each loaded example records is left out
+
+    def test_each_example_records_its_file_and_line(self, tmp_path):
+        path = tmp_path / "src.jsonl"
+        path.write_text('{"tokens":[5],"label":0}\n\n  \n{"tokens":[6],"label":1}\n',
+                        encoding="utf-8")
+        examples = load_jsonl(path)
+        assert [ex.source for ex in examples] == ["src.jsonl:1", "src.jsonl:4"]
+        sent = pickle.loads(pickle.dumps(examples))  # as to a grid worker
+        assert [ex.source for ex in sent] == ["src.jsonl:1", "src.jsonl:4"]
+        train, _ = gen_synthetic(SyntheticTaskSpec(kind="pattern_containment",
+                                                   train_size=2, eval_size=1))
+        assert [ex.source for ex in train] == [None, None]
 
 
 def _containers(inner):
