@@ -83,32 +83,41 @@ class EvaluationError(RuntimeError):
 
 
 class Node:
-    """One executed op: its inputs and the backward rule.
+    """One executed op: the gradient slot of the array it produced, and the
+    backward rule.
 
-    A node never refers to the array it produced (only that array refers to
-    it), so a graph holds no reference cycles and refcounting frees it as soon
-    as its root is dropped.
+    ``inputs`` holds each input's own node, or the input itself when it is a
+    leaf (an Array no op produced), so a graph keeps alive no op output, only
+    what each ``bwd`` closure saved: the ndarrays that backward reads, or just
+    a shape and dtype where that is all it needs. ``dtype`` is the produced
+    array's, and ``grad`` holds that array's gradient while backward runs. A
+    node never refers to the array it produced (only that array refers to it),
+    so a graph holds no reference cycles and refcounting frees it as soon as
+    its root is dropped.
 
     ``bwd`` never writes into its incoming gradient: backward stores a
     gradient it is handed without copying it, and one buffer can reach several
     inputs (``add`` returns it twice, ``stack_axis0`` returns views of it).
     """
 
-    __slots__ = ("op", "inputs", "bwd")
+    __slots__ = ("op", "inputs", "bwd", "dtype", "grad")
 
-    def __init__(self, op: str, inputs: tuple["Array", ...],
+    def __init__(self, op: str, inputs: Sequence["Array"],
                  bwd: Callable[[np.ndarray], Sequence[np.ndarray]]):
         self.op = op
-        self.inputs = inputs
+        self.inputs = tuple(x if x.node is None else x.node for x in inputs)
         self.bwd = bwd
+        self.dtype = None  # set by the Array the node is given to
+        self.grad: np.ndarray | None = None
 
 
 class Array:
     """Shape-carrying numeric tensor with an optional gradient buffer.
 
     ``data`` is a float32 or float64 ndarray (float64 in test/grad-check mode,
-    float32 in train mode). ``grad`` is allocated lazily during backward (or is
-    an optimizer's view) and always matches ``data`` in shape.
+    float32 in train mode). A leaf's ``grad`` is allocated lazily during
+    backward (or is an optimizer's view) and always matches ``data`` in shape;
+    an op output's gradient lives on its ``node`` instead.
     """
 
     __slots__ = ("data", "grad", "node")
@@ -117,6 +126,8 @@ class Array:
         self.data = data
         self.grad: np.ndarray | None = None
         self.node = node
+        if node is not None:
+            node.dtype = data.dtype
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -156,65 +167,60 @@ def _make(op: str, out_data: np.ndarray, inputs: tuple[Array, ...], bwd) -> Arra
 
 
 class Tape:
-    """Topologically ordered record of the op outputs that produced a value.
+    """Topologically ordered list of the nodes that produced a value.
 
-    ``outputs`` holds the arrays, ``nodes`` their nodes in the same order.
-    Every array's inputs precede it; the backward traversal in
+    Every node's input nodes precede it; the backward traversal in
     :meth:`run_backward` therefore visits each node exactly once, in reverse.
 
-    Backward frees as it goes: an op output's gradient is dropped as soon as
-    its node's ``bwd`` has consumed it, so after the pass every non-leaf
-    ``.grad`` is None and only the leaves hold gradients. Running backward
-    again on the same root starts over from the seed and adds into the leaves.
+    Backward frees as it goes: a node's gradient is dropped as soon as its
+    ``bwd`` has consumed it, so after the pass every ``node.grad`` is None and
+    only the leaves hold gradients. Running backward again on the same root
+    starts over from the seed and adds into the leaves.
     """
 
-    def __init__(self, outputs: list[Array]):
-        self.outputs = outputs
-
-    @property
-    def nodes(self) -> list[Node]:
-        return [out.node for out in self.outputs]
+    def __init__(self, nodes: list[Node]):
+        self.nodes = nodes
 
     @classmethod
     def trace(cls, root: Array) -> "Tape":
-        outputs: list[Array] = []
+        nodes: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Array, bool]] = [] if root.node is None else [(root, False)]
+        stack: list[tuple[Node, bool]] = [] if root.node is None else [(root.node, False)]
         while stack:
-            out, expanded = stack.pop()
+            node, expanded = stack.pop()
             if expanded:
-                outputs.append(out)
+                nodes.append(node)
                 continue
-            if id(out.node) in seen:
+            if id(node) in seen:
                 continue
-            seen.add(id(out.node))
-            stack.append((out, True))
-            for inp in out.node.inputs:
-                if inp.node is not None and id(inp.node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            for inp in node.inputs:
+                if type(inp) is Node and id(inp) not in seen:
                     stack.append((inp, False))
-        return cls(outputs)
+        return cls(nodes)
 
     def run_backward(self, root: Array, seed: np.ndarray | None = None) -> None:
         if seed is None:
             seed = np.ones(root.shape, dtype=root.data.dtype)
-        root.grad = np.array(seed, dtype=root.data.dtype) if root.grad is None \
-            else root.grad + seed
-        for out in reversed(self.outputs):
-            if out.grad is None:
+        slot = root if root.node is None else root.node
+        slot.grad = np.array(seed, dtype=root.data.dtype) if slot.grad is None \
+            else slot.grad + seed
+        for node in reversed(self.nodes):
+            if node.grad is None:
                 continue
-            node = out.node
-            grads = node.bwd(out.grad)
-            out.grad = None
+            grads = node.bwd(node.grad)
+            node.grad = None
             for inp, g in zip(node.inputs, grads):
                 if g is None:
                     continue
-                if inp.node is None:  # a leaf owns its buffer (or the optimizer does)
+                if type(inp) is not Node:  # a leaf owns its buffer (or the optimizer does)
                     if inp.grad is None:
                         inp.grad = np.array(g, dtype=inp.data.dtype, copy=True)
                     else:
                         inp.grad += g
                 elif inp.grad is None:  # stored as returned: it may alias another gradient
-                    inp.grad = g.astype(inp.data.dtype, copy=False)
+                    inp.grad = g.astype(inp.dtype, copy=False)
                 else:  # so later ones add out of place; the bits are those of +=
                     inp.grad = np.add(inp.grad, g, out=np.empty_like(inp.grad))
 
@@ -245,11 +251,12 @@ def matmul(a: Array, b: Array) -> Array:
     """
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
         return ga, gb
 
     return _make("matmul", out, (a, b), bwd)
@@ -266,9 +273,10 @@ def add_vec(x: Array, v: Array) -> Array:
     if v.ndim != 1 or v.shape[0] != x.shape[-1]:
         raise ShapeError(f"add_vec: vector {v.shape} does not match last axis of {x.shape}")
     out = x.data + v.data
+    d = v.shape[0]
 
     def bwd(g):
-        return g, g.reshape(-1, v.shape[0]).sum(axis=0)
+        return g, g.reshape(-1, d).sum(axis=0)
 
     return _make("add_vec", out, (x, v), bwd)
 
@@ -280,9 +288,10 @@ def slice_rows(x: Array, start: int, stop: int) -> Array:
     if not (0 <= start < stop <= x.shape[-2]):
         raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {x.shape}")
     out = x.data[..., start:stop, :].copy()
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[..., start:stop, :] = g
         return (gx,)
 
@@ -296,9 +305,10 @@ def stack_axis0(parts: Sequence[Array]) -> Array:
         if p.shape != parts[0].shape:
             raise ShapeError(f"stack_axis0: shape mismatch {p.shape} vs {parts[0].shape}")
     out = np.stack([p.data for p in parts], axis=0)
+    n = len(parts)
 
     def bwd(g):
-        return tuple(g[i] for i in range(len(parts)))
+        return tuple(g[i] for i in range(n))
 
     return _make("stack_axis0", out, tuple(parts), bwd)
 
@@ -345,11 +355,11 @@ def mean_over_axis0(theta: Array) -> Array:
     """Arithmetic mean over the layer axis; backward spreads grad/k uniformly."""
     if theta.ndim < 1 or theta.shape[0] < 1:
         raise ShapeError(f"mean_over_axis0: need a nonempty axis 0, got {theta.shape}")
-    k = theta.shape[0]
+    k, shape = theta.shape[0], theta.shape
     out = theta.data.mean(axis=0)
 
     def bwd(g):
-        return (np.broadcast_to(g / k, theta.data.shape).copy(),)
+        return (np.broadcast_to(g / k, shape).copy(),)
 
     return _make("mean_over_axis0", out, (theta,), bwd)
 
@@ -375,9 +385,10 @@ def select_max_norm_axis0(theta: Array) -> Array:
         best = np.maximum(norms[i], best)
     rows = _flat_rows(idx)
     out = np.take(theta.data.reshape(-1, d), rows, axis=0).reshape(theta.shape[1:])
+    shape, dtype = theta.shape, theta.dtype
 
     def bwd(g):
-        gt = np.zeros_like(theta.data)
+        gt = np.zeros(shape, dtype)
         gt.reshape(-1, d)[rows] = g.reshape(-1, d)
         return (gt,)
 
@@ -401,12 +412,13 @@ def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
     var = out.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=out)
+    gd = gain.data
+    np.multiply(xhat, gd, out=out)
     out += bias.data
 
     def bwd(g):
         # dx = (gy - mean(gy) - xhat * mean(gy * xhat)) / sqrt(var + eps), in gy
-        gy = g * gain.data
+        gy = g * gd
         scratch = gy * xhat
         gy -= gy.sum(axis=-1, keepdims=True) / d
         np.multiply(xhat, scratch.sum(axis=-1, keepdims=True) / d, out=scratch)
@@ -425,25 +437,26 @@ _GELU_A = 0.044715
 
 def gelu(x: Array) -> Array:
     """Tanh-form GELU; the backward is the exact derivative of this form."""
-    t = x.data * x.data  # x ** 3 would take numpy's pow path, 100x slower on float32
-    t *= x.data  # then in place, in the order of 0.5*x * (1 + tanh(C*(x + A*((x*x)*x))))
+    xd = x.data
+    t = xd * xd  # x ** 3 would take numpy's pow path, 100x slower on float32
+    t *= xd  # then in place, in the order of 0.5*x * (1 + tanh(C*(x + A*((x*x)*x))))
     t *= _GELU_A
-    t += x.data
+    t += xd
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = 0.5 * x.data
+    out = 0.5 * xd
     out *= 1.0 + t
 
     def bwd(g):
         # g * (0.5*(1 + t) + 0.5*x * (1 - t**2) * C*(1 + 3*A * (x*x))), in place in that
         # order; x*x is recomputed, as keeping it would hold one more array per call
-        du = x.data * x.data
+        du = xd * xd
         du *= 3.0 * _GELU_A
         du += 1.0
         du *= _GELU_C
         b = t * t
         np.subtract(1.0, b, out=b)
-        b *= 0.5 * x.data
+        b *= 0.5 * xd
         b *= du
         dy = np.add(t, 1.0, out=du)
         dy *= 0.5
@@ -455,11 +468,16 @@ def gelu(x: Array) -> Array:
 
 
 def dropout(x: Array, p: float, rng: np.random.Generator) -> Array:
-    """Inverted dropout; identity when p == 0. Mask drawn from rng."""
+    """Inverted dropout; identity when p == 0. Mask drawn from rng.
+
+    The node saves the boolean mask (a byte per element) and backward rebuilds
+    the scaled keep factors from it, in the forward's operation order.
+    """
     if p <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return _make("dropout", x.data * keep, (x,), lambda g: (g * keep,))
+    mask, dtype = rng.random(x.shape) >= p, x.dtype
+    return _make("dropout", x.data * (mask.astype(dtype) / (1.0 - p)), (x,),
+                 lambda g: (g * (mask.astype(dtype) / (1.0 - p)),))
 
 
 def mask_rows(x: Array, mask: np.ndarray) -> Array:
@@ -527,7 +545,8 @@ def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
     if m.shape != k.shape[:-1]:
         raise ShapeError(f"attention: mask {m.shape} does not match keys {k.shape[:-1]}")
     c = 1.0 / math.sqrt(d // num_heads)  # a Python float: float32 data stays float32
-    qh, kh, vh = (_split_heads(x.data, num_heads) for x in (q, k, v))
+    saved = q.data, k.data, v.data
+    qh, kh, vh = (_split_heads(x, num_heads) for x in saved)
     p = qh @ np.swapaxes(kh, -1, -2)  # scores, then softmax in place: same order, same bits
     p *= c
     if not m.all():  # with no key masked the penalty is -0.0, and adding it changes no bit
@@ -539,8 +558,8 @@ def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
         probs_out.append(p)
 
     def bwd(g):
-        # split again rather than kept: the node holds q, k and v anyway
-        qh, kh, vh = (_split_heads(x.data, num_heads) for x in (q, k, v))
+        # split again rather than kept: q, k and v are saved anyway
+        qh, kh, vh = (_split_heads(x, num_heads) for x in saved)
         gh = _split_heads(g, num_heads)
         dp = gh @ np.swapaxes(vh, -1, -2)
         ds = dp  # p * (dp - rowsum(dp * p)) * c, in place and in that order
@@ -557,9 +576,10 @@ def embed_lookup(table: Array, ids: np.ndarray) -> Array:
     """Gather rows of an embedding table; backward scatter-adds into the table."""
     ids = np.asarray(ids)
     out = table.data[ids]
+    shape, dtype = table.shape, table.dtype
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -567,9 +587,9 @@ def embed_lookup(table: Array, ids: np.ndarray) -> Array:
 
 
 def sum_all(x: Array) -> Array:
-    out = np.asarray(x.data.sum(), dtype=x.data.dtype)
-    return _make("sum_all", out, (x,),
-                 lambda g: (np.full(x.shape, g, dtype=x.data.dtype),))
+    shape, dtype = x.shape, x.dtype
+    out = np.asarray(x.data.sum(), dtype=dtype)
+    return _make("sum_all", out, (x,), lambda g: (np.full(shape, g, dtype=dtype),))
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +613,15 @@ def cross_entropy_mean(logits: Array, labels: np.ndarray) -> Array:
     shifted = flat - flat.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logsumexp
-    rows = np.arange(flat.shape[0])
+    n, shape = flat.shape[0], logits.shape
+    rows = np.arange(n)
     out = np.asarray(-logp[rows, labels].mean(), dtype=logits.data.dtype)
 
     def bwd(g):
         gl = np.exp(logp)
         gl[rows, labels] -= 1.0
-        gl *= g / flat.shape[0]
-        return (gl.reshape(logits.shape),)
+        gl *= g / n
+        return (gl.reshape(shape),)
 
     return _make("cross_entropy_mean", out, (logits,), bwd)
 
@@ -612,10 +633,11 @@ def squared_error_mean(preds: Array, targets: np.ndarray) -> Array:
     if p.shape != t.shape:
         raise ShapeError(f"squared_error_mean: {p.shape[0]} preds vs {t.shape[0]} targets")
     diff = p - t
+    n, shape = p.shape[0], preds.shape
     out = np.asarray((diff ** 2).mean(), dtype=preds.data.dtype)
 
     def bwd(g):
-        return ((2.0 * diff / p.shape[0] * g).reshape(preds.shape),)
+        return ((2.0 * diff / n * g).reshape(shape),)
 
     return _make("squared_error_mean", out, (preds,), bwd)
 

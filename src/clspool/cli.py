@@ -279,17 +279,28 @@ def _run_cell(cell: tuple) -> dict:
     return _run_record(task, head_spec, cfg.seed, result)
 
 
+def _run_alone(cell: tuple) -> dict:
+    """Run a cell once more, alone in a fresh one-worker pool; if that worker
+    dies too, the cell's error record."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(_run_cell, cell).result()
+        except BrokenProcessPool:
+            return _error_record(cell, "its worker process died before the run finished")
+
+
 def _records(returned, cells: list[tuple]):
-    """The records ``returned`` yields, in cell order; once a worker process
-    dies, an error record for each cell that has not come back."""
+    """The records ``returned`` yields, in cell order. Once a worker process
+    dies the pool gives back nothing more, so each cell that has not come back
+    is run again alone."""
     done = 0
     try:
         for record in returned:
             done += 1
             yield record
-    except BrokenProcessPool:  # the pool gives back nothing more after one
+    except BrokenProcessPool:
         for cell in cells[done:]:
-            yield _error_record(cell, "its worker process died before the run finished")
+            yield _run_alone(cell)
 
 
 def _run_grid(cells: list[tuple], heads: list[str], jobs: int, out_dir: Path,

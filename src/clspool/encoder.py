@@ -67,6 +67,15 @@ class EncoderConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("EncoderConfig: dropout must be in [0, 1)")
 
+    @property
+    def num_parameters(self) -> int:
+        """Number of values in the parameters init_encoder_params draws."""
+        d, d_ff = self.d_model, self.d_ff
+        # per layer: four d x d projections, the two feed-forward matrices and
+        # their biases, and two layer norms' gains and biases
+        per_layer = 4 * d * d + 2 * d * d_ff + d_ff + 5 * d
+        return (self.vocab_size + self.max_seq_len) * d + self.num_layers * per_layer
+
 
 @dataclass
 class EncoderLayerParams:

@@ -54,6 +54,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 1.0
 MAX_CLASSES = 10_000  # cross_entropy class labels must lie in [0, MAX_CLASSES)
+# An encoder may have at most this many parameters: 2**25 take 0.5 GB in
+# float32 for values, gradients and both AdamW moments. TrainConfig refuses a
+# larger one, so nothing is allocated for it.
+MAX_PARAMETERS = 2 ** 25
 
 CHECKPOINT_MAGIC = b"MPBT"
 CHECKPOINT_VERSION = 1
@@ -87,6 +91,9 @@ class TrainConfig:
         if head.uses_attention and enc.d_model % head.num_heads != 0:
             raise ConfigurationError(f"head '{head.spec()}': num_heads {head.num_heads} "
                                      f"does not divide d_model {enc.d_model}")
+        if enc.num_parameters > MAX_PARAMETERS:
+            raise ValueError(f"the encoder would have {enc.num_parameters} parameters, "
+                             f"more than MAX_PARAMETERS ({MAX_PARAMETERS})")
         if not 0 < self.learning_rate < inf:  # also refuses nan
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.weight_decay < inf:
@@ -193,11 +200,12 @@ def adamw_step(named_params: list[tuple[str, Array]], state: OptimizerState,
 
 def _clip_global_norm(named_params: list[tuple[str, Array]], state: OptimizerState,
                       max_norm: float) -> float:
-    # float64 squares summed per tensor in the caller's order: one sum over the
-    # whole buffer rounds differently and would move every clipped step
+    # float64 squares of the whole buffer in one pass, then summed per tensor
+    # (pairwise, as .sum() does) in the caller's order: one sum over the whole
+    # buffer, or np.add.reduceat's left-to-right segments, would round differently
     state.bind(named_params)
-    norm = np.sqrt(sum(float(np.square(state.grad[span], dtype=np.float64).sum())
-                       for *_, span in state.slots))
+    squares = np.square(state.grad, dtype=np.float64)
+    norm = np.sqrt(sum(float(squares[span].sum()) for *_, span in state.slots))
     if norm > max_norm:
         state.grad *= max_norm / norm
     return float(norm)

@@ -210,23 +210,24 @@ def select_max_norm_axis0_oracle(theta, g):
 
 # Tape.run_backward as it was before backward freed each gradient once used:
 # every first gradient copied, later ones added in place, and every gradient,
-# the root's and the intermediates' too, kept until the graph dies.
+# the root's and the intermediates' too, kept on its node until the graph dies.
+# A node input is the input's node or a leaf Array; both carry .grad and .dtype.
 
 def run_backward_oracle(root, seed=None):
     tape = Tape.trace(root)
     if seed is None:
         seed = np.ones(root.shape, dtype=root.data.dtype)
-    root.grad = np.array(seed, dtype=root.data.dtype) if root.grad is None \
-        else root.grad + seed
-    for out in reversed(tape.outputs):
-        if out.grad is None:
+    slot = root if root.node is None else root.node
+    slot.grad = np.array(seed, dtype=root.data.dtype) if slot.grad is None \
+        else slot.grad + seed
+    for node in reversed(tape.nodes):
+        if node.grad is None:
             continue
-        node = out.node
-        grads = node.bwd(out.grad)
+        grads = node.bwd(node.grad)
         for inp, g in zip(node.inputs, grads):
             if g is None:
                 continue
             if inp.grad is None:
-                inp.grad = np.array(g, dtype=inp.data.dtype, copy=True)
+                inp.grad = np.array(g, dtype=inp.dtype, copy=True)
             else:
                 inp.grad += g

@@ -274,6 +274,16 @@ class TestSmallOps:
         x = array(np.ones(5))
         assert ac.dropout(x, 0.0, np.random.default_rng(0)) is x
 
+    def test_dropout_saves_a_byte_mask_and_scales_as_the_forward(self):
+        x = Array(np.random.default_rng(1).normal(size=(4, 6)).astype(np.float32))
+        out = ac.dropout(x, 0.3, np.random.default_rng(2))
+        keep = (np.random.default_rng(2).random(x.shape) >= 0.3).astype(np.float32) / 0.7
+        assert out.data.tobytes() == (x.data * keep).tobytes()
+        saved = [cell.cell_contents for cell in out.node.bwd.__closure__]
+        assert [a.dtype for a in saved if isinstance(a, np.ndarray)] == [np.bool_]
+        g = np.random.default_rng(3).normal(size=x.shape).astype(np.float32)
+        assert out.node.bwd(g)[0].tobytes() == (g * keep).tobytes()
+
     def test_debug_mode_catches_nonfinite(self):
         ac.set_debug_checks(True)
         try:
@@ -513,7 +523,7 @@ def test_tape_records_each_op_in_topological_order():
     root = ac.sum_all(ac.add(h, h))
     tape = ac.Tape.trace(root)
     assert [n.op for n in tape.nodes] == ["matmul", "gelu", "layer_norm", "add", "sum_all"]
-    assert [out.node for out in tape.outputs] == tape.nodes
+    assert tape.nodes[-1] is root.node
 
 
 def test_dropped_graph_leaves_no_cyclic_garbage():
@@ -886,8 +896,8 @@ class TestFreeingBackward:
         want, _ = _run_into_fresh_leaves(values, build, run_backward_oracle)
         assert _same_grads(got, want)
         assert all(got[n].grad.dtype == dtype for n in ("x", "r"))
-        outputs = ac.Tape.trace(root).outputs
-        assert root in outputs and all(out.grad is None for out in outputs)
+        nodes = ac.Tape.trace(root).nodes
+        assert root.node in nodes and all(node.grad is None for node in nodes)
 
     @pytest.mark.parametrize("graph", ALIASING_GRAPHS)
     def test_a_second_backward_adds_what_a_fresh_graph_would(self, graph):

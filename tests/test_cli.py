@@ -317,6 +317,24 @@ class TestRunSettingRefusals:
                                            "exceeds --max-seq-len 64\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_an_encoder_past_max_parameters_builds_no_model(self, tmp_path, monkeypatch,
+                                                            capsys, command):
+        import clspool.training as training
+        monkeypatch.setattr(training, "build_model",
+                            lambda *a, **kw: pytest.fail("a model was built"))
+        out = tmp_path / "out"
+        heads = ["--head", "baseline"] + (["--head", "mha:h=2"] if command == "compare" else [])
+        rc = run_cli(command, "--task", "pattern", *TINY, *heads, "--d-model", "2048",
+                     "--out", str(out))
+        assert rc == 2
+        count = EncoderConfig(vocab_size=30, num_layers=2, d_model=2048,
+                              num_heads_encoder=2).num_parameters
+        assert capsys.readouterr().err == (
+            f"error: the encoder would have {count} parameters, more than "
+            f"MAX_PARAMETERS ({training.MAX_PARAMETERS})\n")
+        assert not out.exists()
+
     def test_seq_len_that_fills_max_seq_len_runs(self, tmp_path):
         assert run_cli("train", "--task", "pattern", *TINY, "--seq-len", "7",
                        "--max-seq-len", "8", "--out", str(tmp_path)) == 0
@@ -464,8 +482,11 @@ class TestCompareCommand:
                 "finished\n") in err and "Traceback" not in err
         dead = json.loads((tmp_path / "runs" / "mha-h-2__seed0.json").read_text())
         assert dead["error"] and dead["metrics"] == {}
-        # the other cell is back unless the pool broke while it still ran
-        assert (tmp_path / "runs" / "baseline__seed0.json").exists()
+        # lost with the broken pool or not, the healthy cell comes back, run
+        # again alone when it was
+        alive = json.loads((tmp_path / "runs" / "baseline__seed0.json").read_text())
+        assert "error" not in alive and alive["metrics"]
+        assert "head=baseline" not in err
         assert (tmp_path / "compare.txt").exists() and (tmp_path / "compare.csv").exists()
 
     def test_without_baseline_delta_omitted(self, tmp_path):

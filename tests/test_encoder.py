@@ -19,6 +19,16 @@ def toy_params(vocab=12, n_layers=2, d=8, heads=2, t_max=8, seed=0, dtype=np.flo
     return init_encoder_params(cfg, np.random.default_rng(seed), dtype=dtype)
 
 
+@pytest.mark.parametrize("cfg", [
+    EncoderConfig(vocab_size=50),
+    EncoderConfig(vocab_size=12, num_layers=1, d_model=8, num_heads_encoder=2, max_seq_len=8),
+    EncoderConfig(vocab_size=30, num_layers=3, d_model=12, num_heads_encoder=3, d_ff=20),
+])
+def test_num_parameters_counts_what_init_draws(cfg):
+    params = init_encoder_params(cfg, np.random.default_rng(0))
+    assert cfg.num_parameters == sum(p.size for _, p in params.named_parameters())
+
+
 class TestEncode:
     def test_shape_contract(self):
         params = toy_params()

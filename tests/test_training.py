@@ -2,6 +2,7 @@ import gc
 import math
 import struct
 import tracemalloc
+import weakref
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +19,7 @@ from clspool.heads import ConfigurationError, HeadKind, parse_head_spec
 from clspool.training import (
     CLIP_NORM,
     MAX_CLASSES,
+    MAX_PARAMETERS,
     CheckpointError,
     OptimizerState,
     TrainConfig,
@@ -161,6 +163,18 @@ class TestFlatOptimizer:
         assert max(norms) > CLIP_NORM  # clipping fired
         for (name, p), (_, q) in zip(flat.named_parameters(), ref.named_parameters()):
             assert p.data.tobytes() == q.data.tobytes(), name
+
+    def test_clip_norm_matches_the_per_tensor_sums_on_random_gradients(self):
+        # left-to-right segment sums (np.add.reduceat) miss the last bit on some
+        cfg = TrainConfig(encoder=EncoderConfig(vocab_size=50),
+                          head=parse_head_spec("normseq+mha"))
+        named, state = build_model(cfg, 2).named_parameters(), OptimizerState()
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            for _, p in named:
+                p.grad = rng.normal(size=p.shape).astype(np.float32)
+            want = clip_global_norm_oracle(named, math.inf)
+            assert _clip_global_norm(named, state, math.inf) == want
 
     def test_layout_is_views_with_decayed_parameters_first(self):
         named = build_model(small_cfg(head=parse_head_spec("mha:h=2")), 2).named_parameters()
@@ -531,6 +545,30 @@ def test_checkpoint_head_that_does_not_fit_its_encoder_is_refused_at_load(tmp_pa
     assert str(err.value) == f"format error: head '{head}': {fault}"
 
 
+def test_an_encoder_past_max_parameters_is_refused_before_any_model(tmp_path, monkeypatch):
+    from clspool import training
+    monkeypatch.setattr(training, "build_model",
+                        lambda *a, **kw: pytest.fail("a model was built"))
+    big = EncoderConfig(vocab_size=9_999_999, num_layers=1, d_model=8, num_heads_encoder=2,
+                        max_seq_len=8)
+    refusal = (f"the encoder would have {big.num_parameters} parameters, "
+               f"more than MAX_PARAMETERS ({MAX_PARAMETERS})")
+    assert big.num_parameters > MAX_PARAMETERS
+    with pytest.raises(ValueError) as err:
+        TrainConfig(encoder=big)
+    assert str(err.value) == refusal
+    TrainConfig(encoder=replace(big, vocab_size=12))  # the golden checkpoint's encoder
+    blob = GOLDEN_CHECKPOINT.read_bytes()
+    length = struct.unpack("<I", blob[8:12])[0] + len("9999999") - len("12")
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(_resealed(blob[:8] + struct.pack("<I", length) + blob[12:].replace(
+        b"encoder.vocab_size=12\n", b"encoder.vocab_size=9999999\n")))
+    for load in (load_checkpoint, model_from_checkpoint):
+        with pytest.raises(CheckpointError) as err:
+            load(path)
+        assert str(err.value) == f"format error: {refusal}"
+
+
 # bytes that keep mutated config text close to parseable
 NEAR_TEXT = st.sampled_from(b"=\n.:,+-e0123456789kh")
 
@@ -636,15 +674,16 @@ class TestGraphLifetime:
         assert alive[1:] == [0] * 6
 
 
-def _acceptance_step(spec):
+def _acceptance_step(spec, batch_size=32, tokens=16):
     """A float32 model at the acceptance encoder's shape and the loss of one
-    B=32, T=17 training step (16 tokens and [CLS]) with dropout 0.1."""
+    training step with dropout 0.1; by default B=32, T=17 (16 tokens and [CLS])."""
     enc = EncoderConfig(vocab_size=50, num_layers=4, d_model=32, num_heads_encoder=4,
                         max_seq_len=64, dropout=0.1)
     cfg = TrainConfig(encoder=enc, head=parse_head_spec(spec), learning_rate=1e-3)
     model = build_model(cfg, 2)
     batch, _ = gen_synthetic(SyntheticTaskSpec(kind="pattern_containment", vocab_size=50,
-                                               seq_len=(16, 16), train_size=32, eval_size=1))
+                                               seq_len=(tokens, tokens),
+                                               train_size=batch_size, eval_size=1))
     return model, lambda: _batch_loss(model, batch, "cross_entropy", dropout_p=0.1,
                                       rng=np.random.default_rng(0))
 
@@ -666,10 +705,33 @@ class TestBackwardAtTheAcceptanceShape:
                           for _, p in model.named_parameters()])
         assert grads[0] == grads[1] and None not in grads[0]
         for loss, freed in zip(losses, (True, False)):  # the oracle keeps every gradient
-            assert all((out.grad is None) == freed for out in ac.Tape.trace(loss).outputs)
+            assert all((node.grad is None) == freed for node in ac.Tape.trace(loss).nodes)
 
-    def test_a_step_holds_only_what_backward_still_needs(self):
-        _, step = _acceptance_step("maxseq+mha:k=3,h=4")
+    def test_the_graph_keeps_nodes_and_leaves_not_op_outputs(self, monkeypatch):
+        model, step = _acceptance_step("maxseq+mha:k=3,h=4")
+        w_ff1 = {id(layer.w_ff1) for layer in model.enc.layers}
+        ff1_outputs, matmul = [], ac.matmul
+
+        def recording_matmul(a, b):
+            out = matmul(a, b)
+            if id(b) in w_ff1:
+                ff1_outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(ac, "matmul", recording_matmul)
+        loss = step()
+        # no backward reads x @ w_ff1 (add_vec needs only the bias length)
+        assert len(ff1_outputs) == 4 and all(ref() is None for ref in ff1_outputs)
+        for node in ac.Tape.trace(loss).nodes:
+            assert all(type(inp) is ac.Node or (type(inp) is Array and inp.node is None)
+                       for inp in node.inputs), node.op
+            saved = [cell.cell_contents for cell in node.bwd.__closure__ or ()]
+            assert not any(isinstance(x, (Array, ac.Node)) for x in saved), node.op
+
+    @staticmethod
+    def _step_memory(batch_size=32, tokens=16):
+        """Bytes the forward graph holds, and backward's peak on top of it."""
+        _, step = _acceptance_step("maxseq+mha:k=3,h=4", batch_size, tokens)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -678,10 +740,22 @@ class TestBackwardAtTheAcceptanceShape:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             backward(loss)
-            backward_extra = tracemalloc.get_traced_memory()[1] - start
+            return graph, tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # bytes; 12.74 MB and 8.11 MB while the graph kept attention's head-split
-        # copies and gelu's x*x, and backward kept every gradient it made
-        assert graph <= 10.7e6
+
+    def test_a_step_holds_only_what_backward_still_needs(self):
+        graph, backward_extra = self._step_memory()
+        # bytes; measured 6.83 MB and 1.50 MB. The graph took 10.65 MB while each
+        # node held its input arrays and dropout a float mask, 12.74 MB while it
+        # also kept attention's head-split copies and gelu's x*x, and backward's
+        # peak was 8.11 MB while it kept every gradient it made
+        assert graph <= 6.9e6
         assert backward_extra <= 1.6e6
+
+    def test_a_grid_t48_step_holds_only_what_backward_still_needs(self):
+        graph, backward_extra = self._step_memory(batch_size=16, tokens=47)
+        # bytes; measured 11.13 MB and 2.14 MB, and 16.51 MB and 2.14 MB while
+        # each node held its input arrays and dropout a float mask
+        assert graph <= 11.2e6
+        assert backward_extra <= 2.2e6
