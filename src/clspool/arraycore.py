@@ -467,17 +467,27 @@ def gelu(x: Array) -> Array:
     return _make("gelu", out, (x,), bwd)
 
 
+def _keep_scaled(y: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
+    """``y * (mask / (1 - p))`` built in one buffer, bit for bit: the factors
+    take y's dtype, and multiplication commutes."""
+    f = mask.astype(y.dtype)
+    f /= 1.0 - p
+    f *= y
+    return f
+
+
 def dropout(x: Array, p: float, rng: np.random.Generator) -> Array:
     """Inverted dropout; identity when p == 0. Mask drawn from rng.
 
-    The node saves the boolean mask (a byte per element) and backward rebuilds
-    the scaled keep factors from it, in the forward's operation order.
+    The node saves the boolean mask (a byte per element), and backward rebuilds
+    the scaled keep factors from it as the forward did: the gradient it is
+    handed has the node's dtype.
     """
     if p <= 0.0:
         return x
-    mask, dtype = rng.random(x.shape) >= p, x.dtype
-    return _make("dropout", x.data * (mask.astype(dtype) / (1.0 - p)), (x,),
-                 lambda g: (g * (mask.astype(dtype) / (1.0 - p)),))
+    mask = rng.random(x.shape) >= p
+    return _make("dropout", _keep_scaled(x.data, mask, p), (x,),
+                 lambda g: (_keep_scaled(g, mask, p),))
 
 
 def mask_rows(x: Array, mask: np.ndarray) -> Array:

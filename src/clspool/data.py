@@ -50,6 +50,10 @@ CLS_ID = 1
 UNK_ID = 2
 SEP_ID = 3
 FIRST_CONTENT_ID = 4
+# A synthetic training or eval set may hold at most this many examples.
+# gen_synthetic makes 10k-50k of them a second, so this many already take
+# a minute or more; a larger size is refused before any is made.
+MAX_SYNTHETIC_SIZE = 1_000_000
 
 
 class SchemaError(ValueError):
@@ -192,6 +196,10 @@ class SyntheticTaskSpec:
             raise ValueError(f"unknown synthetic task kind '{self.kind}'")
         if self.train_size < 1 or self.eval_size < 1:
             raise ValueError("dataset sizes must be >= 1")
+        if max(self.train_size, self.eval_size) > MAX_SYNTHETIC_SIZE:
+            raise ValueError(f"dataset sizes must be <= MAX_SYNTHETIC_SIZE "
+                             f"({MAX_SYNTHETIC_SIZE}), got train_size {self.train_size} "
+                             f"and eval_size {self.eval_size}")
         lo, hi = self.seq_len
         if not 1 <= lo <= hi:
             raise ValueError(f"bad seq_len range {self.seq_len}")

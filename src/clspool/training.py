@@ -13,10 +13,17 @@ everything after the magic.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import multiprocessing
+import os
 import struct
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import Context, copy_context
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from math import ceil, inf, isfinite, prod
 from pathlib import Path
 
@@ -58,6 +65,14 @@ MAX_CLASSES = 10_000  # cross_entropy class labels must lie in [0, MAX_CLASSES)
 # float32 for values, gradients and both AdamW moments. TrainConfig refuses a
 # larger one, so nothing is allocated for it.
 MAX_PARAMETERS = 2 ** 25
+# evaluate scores its batches on several threads only when a batch holds at
+# least this many activation values (tokens x d_model) on average. Smaller
+# batches spend most of each op in Python, and handing the interpreter lock
+# between threads around every numpy call costs more than the overlap saves:
+# on a 2-core Xeon VM at d_model 32, batches of 64 x 8 tokens (16,384 values)
+# scored 7% slower on two threads, 64 x 11 (22,528) 10% faster and 64 x 17
+# (34,816) 37% faster.
+MIN_THREADED_BATCH_VALUES = 24_000
 
 CHECKPOINT_MAGIC = b"MPBT"
 CHECKPOINT_VERSION = 1
@@ -140,11 +155,20 @@ class OptimizerState:
                                  dtype=named_params[0][1].dtype)
             self.grad, self.m, self.v = (np.zeros_like(self.data) for _ in range(3))
             free = [0, self.n_decay]  # next offset in the decayed and in the exempt region
+            runs = []  # [start, slots, size] per run of adjacent equal-size slots
             for (_, p), skip in zip(named_params, exempt):
                 span = slice(free[skip], free[skip] + p.size)
                 free[skip] += p.size
                 self.slots.append((p, self.data[span].reshape(p.shape),
                                    self.grad[span].reshape(p.shape), span))
+                start, count, size = runs[-1] if runs else (0, 0, -1)
+                if size == p.size and start + count * size == span.start:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([span.start, 1, p.size])
+            # each run as a span of the flat buffer and its (slots, size) shape
+            self.runs = [(slice(start, start + count * size), (count, size))
+                         for start, count, size in runs]
         elif [p for _, p in named_params] != [slot[0] for slot in self.slots]:
             raise TrainingError("optimizer state is bound to other parameters")
         for p, data, grad, _ in self.slots:
@@ -201,11 +225,14 @@ def adamw_step(named_params: list[tuple[str, Array]], state: OptimizerState,
 def _clip_global_norm(named_params: list[tuple[str, Array]], state: OptimizerState,
                       max_norm: float) -> float:
     # float64 squares of the whole buffer in one pass, then summed per tensor
-    # (pairwise, as .sum() does) in the caller's order: one sum over the whole
-    # buffer, or np.add.reduceat's left-to-right segments, would round differently
+    # (pairwise, as .sum() does: one row-wise reduce per run of equal-size
+    # slots sums each row so) and added left to right in the caller's order.
+    # One sum over the whole buffer, or np.add.reduceat's left-to-right
+    # segments, would round differently.
     state.bind(named_params)
     squares = np.square(state.grad, dtype=np.float64)
-    norm = np.sqrt(sum(float(squares[span].sum()) for *_, span in state.slots))
+    norm = np.sqrt(sum(x for span, shape in state.runs
+                       for x in np.add.reduce(squares[span].reshape(shape), axis=1).tolist()))
     if norm > max_norm:
         state.grad *= max_norm / norm
     return float(norm)
@@ -258,20 +285,64 @@ def _batch_loss(model: Model, batch: list[Example], loss_kind: str,
     return ac.squared_error_mean(logits, np.asarray(labels, dtype=np.float64))
 
 
+def _eval_threads(dataset: list[Example], batch_size: int, d_model: int) -> int:
+    """Threads for evaluate's batch forwards: one per CPU this process may run
+    on, at most one per batch. One in a process that multiprocessing started
+    (a --jobs grid worker, where the pool already keeps each core busy), and
+    one for batches below MIN_THREADED_BATCH_VALUES on average."""
+    batches = len(range(0, len(dataset), batch_size))
+    values = d_model * sum(len(ex.token_ids) for ex in dataset)
+    if multiprocessing.parent_process() is not None or \
+            values < MIN_THREADED_BATCH_VALUES * batches:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, batches))
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    # glibc gives a thread that allocates while another holds the main arena
+    # an arena of its own, and keeps what the thread frees there: two eval
+    # threads raised train-b32's peak RSS by 7 MB. One arena keeps every
+    # thread's freed blocks in the one heap. M_ARENA_MAX is -8 in malloc.h.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no glibc: nothing to cap
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-8, 1)
+
+
 def evaluate(model: Model, dataset: list[Example], batch_size: int = 64) -> dict[str, float]:
-    """Dropout-free metrics: accuracy (+ F1/MCC when binary) or Spearman."""
-    preds: list = []
-    labels: list = []
-    for lo in range(0, len(dataset), batch_size):
-        batch = dataset[lo:lo + batch_size]
-        ids, mask, batch_labels = pad_batch(batch)
-        with ac.no_grad():
-            logits = model.forward(ids, mask).data.reshape(len(batch), model.n_classes)
-        if model.n_classes == 1:
-            preds.extend(float(x) for x in logits[:, 0])
+    """Dropout-free metrics: accuracy (+ F1/MCC when binary) or Spearman.
+
+    The batch forwards run on ``_eval_threads`` threads, each in a copy of the
+    caller's context (numpy's error state lives there). A forward reads the
+    model and writes only arrays of its own, so every logit is the serial
+    loop's, bit for bit."""
+
+    def logits(lo: int) -> np.ndarray:
+        ids, mask, _ = pad_batch(dataset[lo:lo + batch_size])
+        return model.forward(ids, mask).data.reshape(len(ids), model.n_classes)
+
+    starts = range(0, len(dataset), batch_size)
+    threads = _eval_threads(dataset, batch_size, model.enc.cfg.d_model)
+    # entered and left by this thread alone: the flag is process-wide
+    with ac.no_grad():
+        if threads == 1:
+            batches = [logits(lo) for lo in starts]
         else:
-            preds.extend(int(x) for x in logits.argmax(axis=1))
-        labels.extend(batch_labels)
+            _one_malloc_arena()
+            with ThreadPoolExecutor(threads) as pool:  # joined before evaluate returns
+                batches = list(pool.map(Context.run, [copy_context() for _ in starts],
+                                        repeat(logits), starts))
+    preds: list = []
+    for batch in batches:
+        if model.n_classes == 1:
+            preds.extend(float(x) for x in batch[:, 0])
+        else:
+            preds.extend(int(x) for x in batch.argmax(axis=1))
+    labels = [ex.label for ex in dataset]
     if model.n_classes == 1:
         rho, _ = spearman_rho_flagged(preds, labels)
         return {"spearman": rho}

@@ -9,8 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from clspool.arraycore import LAYER_NORM_EPS, MASK_PENALTY, Tape
-from clspool.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingError, _decay_exempt
+from clspool.arraycore import LAYER_NORM_EPS, MASK_PENALTY, Tape, no_grad
+from clspool.metrics import accuracy, f1_binary, matthews_corr, spearman_rho_flagged
+from clspool.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingError, _decay_exempt,
+                              pad_batch)
 
 
 def confusion_oracle(preds, labels):
@@ -118,6 +120,31 @@ def clip_global_norm_oracle(named_params, max_norm):
             if p.grad is not None:
                 p.grad *= scale
     return float(norm)
+
+
+def evaluate_oracle(model, dataset, batch_size=64):
+    """evaluate as the serial loop it was before its forwards ran on threads:
+    returns the predictions and the metrics."""
+    preds = []
+    labels = []
+    for lo in range(0, len(dataset), batch_size):
+        batch = dataset[lo:lo + batch_size]
+        ids, mask, batch_labels = pad_batch(batch)
+        with no_grad():
+            logits = model.forward(ids, mask).data.reshape(len(batch), model.n_classes)
+        if model.n_classes == 1:
+            preds.extend(float(x) for x in logits[:, 0])
+        else:
+            preds.extend(int(x) for x in logits.argmax(axis=1))
+        labels.extend(batch_labels)
+    if model.n_classes == 1:
+        rho, _ = spearman_rho_flagged(preds, labels)
+        return preds, {"spearman": rho}
+    out = {"accuracy": accuracy(preds, labels)}
+    if set(labels) <= {0, 1}:
+        out["f1"] = f1_binary(preds, labels)
+        out["mcc"] = matthews_corr(preds, labels)
+    return preds, out
 
 
 # The gelu and attention kernels as they were before their forwards moved in

@@ -27,6 +27,7 @@ from clspool.cli import (
     main,
     write_compare_csv,
 )
+from clspool.data import MAX_SYNTHETIC_SIZE
 from clspool.encoder import EncoderConfig
 from clspool.heads import HeadKind
 from clspool.training import (
@@ -333,6 +334,22 @@ class TestRunSettingRefusals:
         assert capsys.readouterr().err == (
             f"error: the encoder would have {count} parameters, more than "
             f"MAX_PARAMETERS ({training.MAX_PARAMETERS})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_a_synthetic_set_past_its_bound_is_refused_before_it_is_made(
+            self, tmp_path, monkeypatch, capsys, command):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "gen_synthetic",
+                            lambda *a, **kw: pytest.fail("a dataset was generated"))
+        out = tmp_path / "out"
+        heads = ["--head", "baseline"] + (["--head", "mha:h=2"] if command == "compare" else [])
+        rc = run_cli(command, "--task", "pattern", "--train-size", "1000000000", *heads,
+                     "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset sizes must be <= MAX_SYNTHETIC_SIZE ({MAX_SYNTHETIC_SIZE}), "
+            f"got train_size 1000000000 and eval_size 500\n")
         assert not out.exists()
 
     def test_seq_len_that_fills_max_seq_len_runs(self, tmp_path):

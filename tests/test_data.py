@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from clspool.data import (
     CLS_ID,
+    MAX_SYNTHETIC_SIZE,
     SEP_ID,
     UNK_ID,
     Example,
@@ -264,6 +265,21 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_synthetic(SyntheticTaskSpec(kind="pattern_containment",
                                             seq_len=(1, 1)))
+
+    @pytest.mark.parametrize("sizes", [(MAX_SYNTHETIC_SIZE + 1, 1), (1, MAX_SYNTHETIC_SIZE + 1),
+                                       (10 ** 9, 10 ** 9)])
+    def test_sizes_past_the_bound_are_refused(self, sizes):
+        train_size, eval_size = sizes
+        with pytest.raises(ValueError, match=rf"<= MAX_SYNTHETIC_SIZE \({MAX_SYNTHETIC_SIZE}\), "
+                                             rf"got train_size {train_size} "
+                                             rf"and eval_size {eval_size}$"):
+            SyntheticTaskSpec(kind="majority_token", train_size=train_size,
+                              eval_size=eval_size)
+
+    def test_sizes_at_the_bound_are_accepted(self):
+        spec = SyntheticTaskSpec(kind="pair_similarity", train_size=MAX_SYNTHETIC_SIZE,
+                                 eval_size=MAX_SYNTHETIC_SIZE)
+        assert (spec.train_size, spec.eval_size) == (MAX_SYNTHETIC_SIZE,) * 2
 
 
 class TestSubsample:

@@ -1,9 +1,14 @@
 import gc
 import math
+import multiprocessing
+import os
 import struct
+import sys
+import threading
 import tracemalloc
 import weakref
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +25,7 @@ from clspool.training import (
     CLIP_NORM,
     MAX_CLASSES,
     MAX_PARAMETERS,
+    MIN_THREADED_BATCH_VALUES,
     CheckpointError,
     OptimizerState,
     TrainConfig,
@@ -34,17 +40,20 @@ from clspool.training import (
     save_checkpoint,
     train,
 )
+import clspool.training as training
 from clspool.training import (
     Model,
     _batch_loss,
     _clip_global_norm,
     _decay_exempt,
+    _eval_threads,
     _infer_n_classes,
 )
 from oracles import (
     OptimizerStateOracle,
     adamw_step_oracle,
     clip_global_norm_oracle,
+    evaluate_oracle,
     run_backward_oracle,
 )
 
@@ -175,6 +184,38 @@ class TestFlatOptimizer:
                 p.grad = rng.normal(size=p.shape).astype(np.float32)
             want = clip_global_norm_oracle(named, math.inf)
             assert _clip_global_norm(named, state, math.inf) == want
+
+    HEADS = ("baseline", "maxcls:k=3", "mha:h=4", "maxseq+mha:k=3,h=4",
+             "meanseq+mha:k=3,h=4", "normseq+mha:k=3,h=4")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d_model", [32, 64])  # 64: w_ff1 has 16384 > 8192 elements
+    def test_clip_norm_matches_one_sum_per_slot(self, dtype, d_model):
+        # one row-wise reduce per run of equal-size slots against a .sum() per tensor
+        rng = np.random.default_rng(d_model)
+        for spec in self.HEADS:
+            cfg = TrainConfig(encoder=EncoderConfig(vocab_size=50, d_model=d_model),
+                              head=parse_head_spec(spec))
+            named, state = build_model(cfg, 3, dtype).named_parameters(), OptimizerState()
+            state.bind(named)
+            largest = max(size for _, (_, size) in state.runs)
+            assert len(state.runs) < len(state.slots) and largest == 4 * d_model * d_model
+            for _ in range(4):
+                state.grad[:] = rng.normal(scale=rng.uniform(1e-3, 1e3), size=state.grad.size)
+                want = clip_global_norm_oracle(named, math.inf)
+                assert _clip_global_norm(named, state, math.inf) == want, spec
+
+    def test_clip_runs_cover_the_slots_in_order(self):
+        cfg = TrainConfig(encoder=EncoderConfig(vocab_size=50),
+                          head=parse_head_spec("normseq+mha"))
+        named, state = build_model(cfg, 2).named_parameters(), OptimizerState()
+        state.bind(named)
+        assert len(state.slots) == 56 and len(state.runs) == 29
+        rows = [state.grad[span].reshape(shape)[i] for span, shape in state.runs
+                for i in range(shape[0])]
+        assert len(rows) == len(state.slots)
+        for row, (_, _, grad, _) in zip(rows, state.slots):
+            assert row.size == grad.size and np.shares_memory(row, grad)
 
     def test_layout_is_views_with_decayed_parameters_first(self):
         named = build_model(small_cfg(head=parse_head_spec("mha:h=2")), 2).named_parameters()
@@ -618,6 +659,151 @@ class TestEvaluate:
         model = build_model(cfg, n_classes=1)
         metrics = evaluate(model, eval_set)
         assert set(metrics) == {"spearman"}
+
+
+def _recorded(monkeypatch, name):
+    """Patch the metric function training calls as ``name`` to record the
+    predictions it is handed."""
+    seen, metric = [], getattr(training, name)
+
+    def recording(preds, labels):
+        seen.append(list(preds))
+        return metric(preds, labels)
+
+    monkeypatch.setattr(training, name, recording)
+    return seen
+
+
+class TestThreadedEvaluate:
+    """evaluate's batch forwards on a thread pool give the serial loop's
+    predictions and metrics bit for bit, and no thread outlives the call."""
+
+    @pytest.mark.parametrize("threads", [2, 3, 7])
+    @pytest.mark.parametrize("spec", ["baseline", "maxseq+mha:k=2,h=2", "normseq+mha:k=2,h=2"])
+    def test_classification_matches_the_serial_loop(self, monkeypatch, spec, threads):
+        _, eval_set = small_task(train_size=8, eval_size=45, seq=(3, 14), seed=3)
+        model = build_model(small_cfg(head=parse_head_spec(spec), seed=2), 2)
+        want_preds, want = evaluate_oracle(model, eval_set, batch_size=8)
+        monkeypatch.setattr(training, "_eval_threads", lambda *_: threads)
+        seen = _recorded(monkeypatch, "accuracy")
+        got = evaluate(model, eval_set, batch_size=8)
+        assert seen == [want_preds]
+        assert struct.pack("<3d", *got.values()) == struct.pack("<3d", *want.values())
+        assert list(got) == list(want) == ["accuracy", "f1", "mcc"]
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_regression_matches_the_serial_loop(self, monkeypatch, threads):
+        _, eval_set = gen_synthetic(SyntheticTaskSpec(
+            kind="pair_similarity", vocab_size=30, seq_len=(5, 14), train_size=8,
+            eval_size=50, seed=4))
+        cfg = small_cfg(head=parse_head_spec("mha:h=2"))
+        cfg.loss = "squared_error"
+        model = build_model(cfg, n_classes=1)
+        want_preds, want = evaluate_oracle(model, eval_set, batch_size=16)
+        monkeypatch.setattr(training, "_eval_threads", lambda *_: threads)
+        seen = _recorded(monkeypatch, "spearman_rho_flagged")
+        got = evaluate(model, eval_set, batch_size=16)
+        assert np.array(seen).tobytes() == np.array([want_preds]).tobytes()
+        assert struct.pack("<d", got["spearman"]) == struct.pack("<d", want["spearman"])
+
+    def test_more_threads_than_cores_switching_often_match_the_serial_loop(self,
+                                                                           monkeypatch):
+        _, eval_set = small_task(train_size=8, eval_size=200, seq=(2, 16), seed=5)
+        model = build_model(small_cfg(head=parse_head_spec("maxseq+mha:k=2,h=2")), 2)
+        want_preds, want = evaluate_oracle(model, eval_set, batch_size=8)
+        monkeypatch.setattr(training, "_eval_threads", lambda *_: 8)
+        seen = _recorded(monkeypatch, "accuracy")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = evaluate(model, eval_set, batch_size=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [want_preds] and got == want
+
+    def test_the_forwards_run_off_the_calling_thread_with_no_graph(self, monkeypatch):
+        _, eval_set = small_task(train_size=8, eval_size=40)
+        model = build_model(small_cfg(), 2)
+        calls = []
+
+        def forward(ids, mask):
+            out = Model.forward(model, ids, mask)
+            calls.append((threading.get_ident(), out.node))
+            return out
+
+        model.forward = forward
+        monkeypatch.setattr(training, "_eval_threads", lambda *_: 2)
+        before = threading.active_count()
+        evaluate(model, eval_set, batch_size=8)
+        assert threading.active_count() == before
+        assert len(calls) == 5 and all(node is None for _, node in calls)
+        assert threading.get_ident() not in {ident for ident, _ in calls}
+        assert ac._recording
+
+    def test_malloc_is_capped_before_the_first_helper_thread_starts(self, monkeypatch):
+        _, eval_set = small_task(train_size=8, eval_size=24)
+        model = build_model(small_cfg(), 2)
+        threads_at_cap = []
+        monkeypatch.setattr(training, "_one_malloc_arena",
+                            lambda: threads_at_cap.append(threading.active_count()))
+        before = threading.active_count()
+        for threads in (1, 2):
+            monkeypatch.setattr(training, "_eval_threads", lambda *_: threads)
+            evaluate(model, eval_set, batch_size=8)
+        assert threads_at_cap == [before]  # the one-thread call takes no cap
+
+    def test_an_error_in_a_helper_thread_reaches_the_caller(self, monkeypatch):
+        _, eval_set = small_task(train_size=8, eval_size=40)
+        model = build_model(small_cfg(head=parse_head_spec("mha:h=2")), 2)
+        model.head.w_cls.data[0, 0] = np.nan
+        monkeypatch.setattr(training, "_eval_threads", lambda *_: 3)
+        before = threading.active_count()
+        ac.set_debug_checks(True)
+        try:
+            with pytest.raises(ac.EvaluationError, match="non-finite"):
+                evaluate(model, eval_set, batch_size=8)
+        finally:
+            ac.set_debug_checks(False)
+        assert ac._recording
+        assert threading.active_count() == before
+
+    def test_helper_threads_keep_the_callers_numpy_error_state(self, monkeypatch):
+        # the embeddings overflow float32 in the first matmul's products
+        _, eval_set = small_task(train_size=8, eval_size=40)
+        model = build_model(small_cfg(), 2)
+        model.enc.tok_emb.data[:] = 1e30
+        monkeypatch.setattr(training, "_eval_threads", lambda *_: 2)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError):
+                evaluate_oracle(model, eval_set, batch_size=8)
+            with pytest.raises(FloatingPointError):
+                evaluate(model, eval_set, batch_size=8)
+        with np.errstate(all="ignore"):  # a warning would be an error under pytest.ini
+            got = evaluate(model, eval_set, batch_size=8)
+            _, want = evaluate_oracle(model, eval_set, batch_size=8)
+        assert struct.pack("<3d", *got.values()) == struct.pack("<3d", *want.values())
+
+    @staticmethod
+    def _rows(n, tokens):
+        return [Example(token_ids=[1] + [5] * (tokens - 1), label=0)] * n
+
+    def test_thread_count_is_one_per_cpu_and_at_most_one_per_batch(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert _eval_threads(self._rows(640, 24), 64, 32) == min(cpus, 10)
+        assert _eval_threads(self._rows(64, 24), 64, 32) == 1
+        assert _eval_threads([], 64, 32) == 1
+
+    def test_batches_below_the_value_bound_take_one_thread(self):
+        # 50 rows a batch at d_model 32: 15 tokens reach the bound, 14 do not
+        assert 32 * 50 * 15 == MIN_THREADED_BATCH_VALUES
+        cpus = len(os.sched_getaffinity(0))
+        assert _eval_threads(self._rows(100, 15), 50, 32) == min(cpus, 2)
+        assert _eval_threads(self._rows(100, 14), 50, 32) == 1
+        assert _eval_threads(self._rows(128, 8), 64, 32) == 1  # the train-b4 eval set
+
+    def test_a_forked_pool_worker_takes_one_thread(self):
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(_eval_threads, self._rows(640, 24), 64, 32).result() == 1
 
 
 class TestGraphLifetime:
