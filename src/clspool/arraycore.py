@@ -230,36 +230,24 @@ def backward(root: Array, seed: np.ndarray | None = None) -> None:
     Tape.trace(root).run_backward(root, seed)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to the shape of an operand that was broadcast up."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # structural / arithmetic ops
 # ---------------------------------------------------------------------------
 
 def matmul(a: Array, b: Array) -> Array:
-    """Matrix product over the last two axes; leading axes broadcast.
+    """a (..., k) @ b (k, n), where the weight b must be 2-D.
 
-    Backward: dA = dC @ B^T, dB = A^T @ dC (summed over broadcast axes).
+    Backward: dA = dC @ B^T, and dB = A^T @ dC as one product over A and dC
+    flattened to (rows, k) and (rows, n).
     """
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
-    out = ad @ bd
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-        return ga, gb
+        return g @ bd.T, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1])
 
-    return _make("matmul", out, (a, b), bwd)
+    return _make("matmul", ad @ bd, (a, b), bwd)
 
 
 def add(a: Array, b: Array) -> Array:

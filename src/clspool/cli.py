@@ -132,8 +132,11 @@ def _experiment_from_args(args) -> ExperimentConfig:
     for f in fields(ExperimentConfig):
         if getattr(args, f.name) is not None:
             values[f.name] = getattr(args, f.name)
-    if "seeds" not in values and os.environ.get("CLSPOOL_SEED"):
-        values["seeds"] = [int(os.environ["CLSPOOL_SEED"])]
+    if "seeds" not in values and (raw := os.environ.get("CLSPOOL_SEED")):
+        try:
+            values["seeds"] = [int(raw)]
+        except ValueError:
+            raise CliError(f"CLSPOOL_SEED must be an integer, got '{raw}'") from None
     return ExperimentConfig(**values)
 
 
@@ -584,6 +587,8 @@ def _gradcheck_errors(bits: int, seed: int) -> dict[str, float]:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed and len(args.seed) != 1:
+        raise CliError("gradcheck runs a single seed; pass exactly one --seed")
     bits = args.bits or 64
     if bits == 32:
         print("warning: 32-bit mode; tolerance loosens to 1e-2", file=sys.stderr)

@@ -119,6 +119,8 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.loss not in ("cross_entropy", "squared_error"):
             raise ValueError(f"unknown loss '{self.loss}'")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -155,20 +157,11 @@ class OptimizerState:
                                  dtype=named_params[0][1].dtype)
             self.grad, self.m, self.v = (np.zeros_like(self.data) for _ in range(3))
             free = [0, self.n_decay]  # next offset in the decayed and in the exempt region
-            runs = []  # [start, slots, size] per run of adjacent equal-size slots
             for (_, p), skip in zip(named_params, exempt):
                 span = slice(free[skip], free[skip] + p.size)
                 free[skip] += p.size
                 self.slots.append((p, self.data[span].reshape(p.shape),
                                    self.grad[span].reshape(p.shape), span))
-                start, count, size = runs[-1] if runs else (0, 0, -1)
-                if size == p.size and start + count * size == span.start:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([span.start, 1, p.size])
-            # each run as a span of the flat buffer and its (slots, size) shape
-            self.runs = [(slice(start, start + count * size), (count, size))
-                         for start, count, size in runs]
         elif [p for _, p in named_params] != [slot[0] for slot in self.slots]:
             raise TrainingError("optimizer state is bound to other parameters")
         for p, data, grad, _ in self.slots:
@@ -224,15 +217,8 @@ def adamw_step(named_params: list[tuple[str, Array]], state: OptimizerState,
 
 def _clip_global_norm(named_params: list[tuple[str, Array]], state: OptimizerState,
                       max_norm: float) -> float:
-    # float64 squares of the whole buffer in one pass, then summed per tensor
-    # (pairwise, as .sum() does: one row-wise reduce per run of equal-size
-    # slots sums each row so) and added left to right in the caller's order.
-    # One sum over the whole buffer, or np.add.reduceat's left-to-right
-    # segments, would round differently.
     state.bind(named_params)
-    squares = np.square(state.grad, dtype=np.float64)
-    norm = np.sqrt(sum(x for span, shape in state.runs
-                       for x in np.add.reduce(squares[span].reshape(shape), axis=1).tolist()))
+    norm = np.sqrt(np.square(state.grad, dtype=np.float64).sum())
     if norm > max_norm:
         state.grad *= max_norm / norm
     return float(norm)

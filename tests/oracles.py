@@ -73,9 +73,10 @@ def spearman_oracle(x, y):
     return cov / math.sqrt(vx * vy)
 
 
-# The per-parameter AdamW step and global-norm clip that the flat-buffer
-# optimizer replaced, kept verbatim: one loop iteration per parameter, moments
-# keyed by name, gradients released (.grad = None) after each step.
+# The per-parameter AdamW step that the flat-buffer optimizer replaced, kept
+# verbatim: one loop iteration per parameter, moments keyed by name, gradients
+# released (.grad = None) after each step. The global-norm clip sums what the
+# flat buffer holds, in its order, from per-parameter copies.
 
 @dataclass
 class OptimizerStateOracle:
@@ -109,11 +110,13 @@ def adamw_step_oracle(named_params, state, lr, weight_decay):
 
 
 def clip_global_norm_oracle(named_params, max_norm):
-    total = 0.0
-    for _, p in named_params:
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = np.sqrt(total)
+    """float64 squares of every gradient (zeros for a missing one) laid out as
+    the optimizer lays them out, decayed parameters first, then summed once."""
+    squares = {False: [], True: []}  # by whether the parameter is decay-exempt
+    for name, p in named_params:
+        g = np.zeros(p.size) if p.grad is None else p.grad.astype(np.float64).ravel()
+        squares[_decay_exempt(name)].append(g ** 2)
+    norm = np.sqrt(np.concatenate(squares[False] + squares[True]).sum())
     if norm > max_norm:
         scale = max_norm / norm
         for _, p in named_params:

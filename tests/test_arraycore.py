@@ -68,6 +68,9 @@ class TestMatmul:
         with pytest.raises(ShapeError) as exc:
             ac.matmul(Array(np.zeros((2, 3))), Array(np.zeros((4, 5))))
         assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
+        with pytest.raises(ShapeError) as exc:  # the weight must be 2-D
+            ac.matmul(Array(np.zeros((2, 4, 3))), Array(np.zeros((2, 3, 5))))
+        assert "(2, 4, 3)" in str(exc.value) and "(2, 3, 5)" in str(exc.value)
 
     def test_random_oracle_agreement(self):
         rng = np.random.default_rng(7)
@@ -87,6 +90,30 @@ class TestMatmul:
         backward(c, seed=g)
         assert np.allclose(a.grad, g @ b.data.T)
         assert np.allclose(b.grad, a.data.T @ g)
+
+    def test_batched_backward_against_per_example_loop(self):
+        # the weight gradient is one product over the flattened batch; the
+        # loop sums one a_i^T @ g_i per example
+        rng = np.random.default_rng(3)
+        a, b = array(rng.normal(size=(5, 4, 3))), array(rng.normal(size=(3, 4)))
+        g = rng.normal(size=(5, 4, 4))
+        backward(ac.matmul(a, b), seed=g)
+        want_b = sum(a.data[i].T @ g[i] for i in range(5))
+        want_a = np.stack([g[i] @ b.data.T for i in range(5)])
+        assert np.abs(b.grad - want_b).max() < 1e-12
+        assert np.abs(a.grad - want_a).max() < 1e-12
+
+    def test_batched_matches_finite_differences(self):
+        # (k, t, d) @ (d, t) under a random linear functional, as in
+        # _random_op_cases, whose shared random stream this leaves as it is
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            k, t, d = (int(n) for n in rng.integers(1, 5, size=3))
+            theta, m = array(rng.normal(size=(k, t, d))), array(rng.normal(size=(d, t)))
+            weights = array(rng.normal(size=(k * t * t, 1)))
+            err = grad_check(lambda: ac.sum_all(ac.matmul(flat_row(ac.matmul(theta, m)),
+                                                          weights)), [theta, m], step=1e-5)
+            assert err < 1e-6, (k, t, d, err)
 
 
 def attention_softmax(scores):

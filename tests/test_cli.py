@@ -243,6 +243,15 @@ class TestExitCodes:
           "--size", "8", "--size", "full", "--size", "8"], "size 8 is given twice"),
         (["lowres", "--task", "pattern", "--head", "baseline", "--head", "mha",
           "--size", "full", "--size", "full"], "size full is given twice"),
+        (["train", "--task", "pattern", *SMALL, "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["compare", "--task", "pattern", *SMALL, "--head", "baseline", "--head", "mha",
+          "--seed", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["compare", "--task", "pattern", *SMALL, "--head", "baseline", "--head", "mha",
+          "--seed", "1", "--seed", "-1", "--jobs", "2"], "seed must be >= 0, got -1"),
+        (["ablate-k", "--task", "pattern", *SMALL, "--seed", "-2"],
+         "seed must be >= 0, got -2"),
+        (["lowres", "--task", "pattern", *SMALL, "--head", "baseline", "--head", "mha",
+          "--size", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_usage_error_names_its_cause(self, tmp_path, monkeypatch, capsys, argv,
                                          message):
@@ -680,6 +689,14 @@ class TestGradcheckCommand:
             elif line.startswith(("baseline", "mha", "meanseq", "normseq")):
                 assert "PASS" in line
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "1", "--seed", "2"], "gradcheck runs a single seed; pass exactly one --seed"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_seed_usage_error(self, capsys, argv, message):
+        assert run_cli("gradcheck", *argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestConfigFileAndEnv:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
@@ -707,6 +724,20 @@ class TestConfigFileAndEnv:
                      "--out", str(tmp_path))
         assert rc == 0
         assert (tmp_path / "baseline__seed9.json").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("nine", "CLSPOOL_SEED must be an integer, got 'nine'"),
+        ("-9", "seed must be >= 0, got -9"),
+    ])
+    def test_env_seed_usage_error(self, tmp_path, monkeypatch, capsys, value, message):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("a run started"))
+        monkeypatch.setenv("CLSPOOL_SEED", value)
+        out = tmp_path / "out"
+        rc = run_cli("train", "--task", "pattern", *SMALL, "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestReportAssembly:
@@ -783,6 +814,26 @@ def test_subprocess_entrypoint(tmp_path):
     result = subprocess.run([sys.executable, "-m", "clspool", "train"],
                             capture_output=True, text=True)
     assert result.returncode == 2
+
+
+def test_reruns_with_blas_threads_unpinned_write_identical_checkpoints(tmp_path):
+    """Two fresh processes train one cell at the train-b32 benchmark's shape
+    (B=32, T=17, two steps) with BLAS free to choose its thread count. Each
+    weight gradient is one product summing over all 32 x 17 rows, the axis a
+    threaded BLAS could split."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    checkpoints = []
+    for run in ("first", "second"):
+        subprocess.run(
+            [sys.executable, "-m", "clspool", "train", "--task", "pattern",
+             "--train-size", "64", "--eval-size", "8", "--seq-len", "16",
+             "--batch-size", "32", "--epochs", "1", "--lr", "1e-3",
+             "--head", "maxseq+mha:k=3,h=4", "--seed", "1", "--out", str(tmp_path / run)],
+            env=env, check=True, capture_output=True)
+        [ckpt] = (tmp_path / run).glob("*.ckpt")
+        checkpoints.append(ckpt.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_readme_cli_examples_parse():
