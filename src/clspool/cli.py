@@ -85,9 +85,10 @@ class RunReport:
 class ExperimentConfig:
     """Every setting of a run or grid, and the only place one is named.
 
-    Each field is a config-file key and a flag (``_`` becomes ``-``). The list
-    fields take a repeatable singular flag (``--head``, ``--seed``) and a comma
-    list in config files.
+    Each field is a config-file key of every subcommand, and a flag (``_``
+    becomes ``-``) of each subcommand that reads it (see ``build_parser``). The
+    list fields take a repeatable singular flag (``--head``, ``--seed``) and a
+    comma list in config files.
     """
 
     task: str | None = field(default=None, metadata={
@@ -130,14 +131,20 @@ def _experiment_from_args(args) -> ExperimentConfig:
     for seeds that neither the file nor a flag gives."""
     values = _read_config_file(args.config) if args.config else {}
     for f in fields(ExperimentConfig):
-        if getattr(args, f.name) is not None:
+        if getattr(args, f.name, None) is not None:
             values[f.name] = getattr(args, f.name)
     if "seeds" not in values and (raw := os.environ.get("CLSPOOL_SEED")):
-        try:
-            values["seeds"] = [int(raw)]
-        except ValueError:
-            raise CliError(f"CLSPOOL_SEED must be an integer, got '{raw}'") from None
+        values["seeds"] = [_convert(int, raw, "CLSPOOL_SEED")]
     return ExperimentConfig(**values)
+
+
+def _convert(convert, raw: str, name: str, what: str = ""):
+    """convert(raw); a value it refuses is a usage error naming ``name``."""
+    try:
+        return convert(raw)
+    except ValueError:
+        what = what or ("an integer" if convert is int else "a number")
+        raise CliError(f"{name} must be {what}, got '{raw}'") from None
 
 
 @contextmanager
@@ -145,7 +152,7 @@ def _input_file(flag: str):
     """Turn a failure to read the file a flag names into a usage error."""
     try:
         yield
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(f"cannot read {flag} file: {err}") from err
 
 
@@ -167,8 +174,9 @@ def _read_config_file(path: str) -> dict:
         if key not in by_name:
             raise CliError(f"config file: unknown key '{key}'")
         convert, many = _CONVERTERS[by_name[key].type]
-        value = [convert(v.strip()) for v in raw.split(",") if v.strip()] if many \
-            else convert(raw)
+        name = f"config file line {line_no}: {key}"
+        value = [_convert(convert, v.strip(), name) for v in raw.split(",") if v.strip()] \
+            if many else _convert(convert, raw, name)
         if value == []:
             raise CliError(f"config file: '{key}' needs at least one value")
         values[key] = value
@@ -481,12 +489,17 @@ def cmd_compare(args) -> int:
 
 def cmd_ablate_k(args) -> int:
     exp = _experiment_from_args(args)
+    if len(exp.heads) != 1:
+        raise CliError("ablate-k sweeps a single head; pass exactly one --head")
+    [spec] = exp.heads
+    kind = parse_head_spec(spec)
+    if not (kind.uses_depth and kind.uses_attention):
+        raise CliError(f"ablate-k: cannot sweep k for head '{spec}'; pass one --head "
+                       "that pools and attends, such as maxseq+mha:h=4")
+    if "k" in (a.partition("=")[0].strip() for a in spec.partition(":")[2].split(",")):
+        raise CliError(f"ablate-k: head '{spec}' states k, which the sweep sets")
     ks = args.k or list(range(1, exp.num_layers + 1))
-    num_heads = args.pool_heads or 4
-    base = HeadKind(args.pool or "maxseq+mha")
-    if not (base.uses_depth and base.uses_attention):
-        raise CliError(f"ablate-k: cannot sweep k for head kind '{base.kind}'")
-    heads = [f"{base.kind}:k={k},h={num_heads}" for k in ks]
+    heads = [replace(kind, k=k).spec() for k in ks]
     [cells] = _plan(exp, heads)
     out_dir = Path(exp.out)
     reports, status = _run_grid(cells, heads, exp.jobs, out_dir)
@@ -502,7 +515,8 @@ def cmd_lowres(args) -> int:
     exp = _experiment_from_args(args)
     if not args.size:
         raise CliError("lowres needs at least one --size (int or 'full')")
-    sizes = [None if raw == "full" else int(raw) for raw in args.size]
+    sizes = [None if raw == "full" else _convert(int, raw, "--size", "an integer or 'full'")
+             for raw in args.size]
     plan = _plan(exp, exp.heads, sizes)
     out_dir = Path(exp.out)
     rows = []
@@ -608,7 +622,8 @@ def cmd_eval(args) -> int:
     exp = _experiment_from_args(args)
     with _input_file("--ckpt"):
         model, cfg = model_from_checkpoint(args.ckpt)
-    exp.vocab_size = cfg.encoder.vocab_size  # generated data must fit the embedding
+    # generated data must fit the checkpoint's embedding; file data is cut to its length
+    exp.vocab_size, exp.max_seq_len = cfg.encoder.vocab_size, cfg.encoder.max_seq_len
     _, eval_set, task, _ = _load_datasets(exp)
     if cfg.loss == "cross_entropy":
         check_class_labels([], eval_set)
@@ -622,9 +637,13 @@ def cmd_eval(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _subcommand(subs, name: str, func, help_: str, settings) -> argparse.ArgumentParser:
+    """A subcommand running ``func`` that takes --config and a flag for each
+    ExperimentConfig field in ``settings``."""
+    sub = subs.add_parser(name, help=help_)
+    sub.set_defaults(func=func)
     sub.add_argument("--config", help="flat key=value config file")
-    for f in fields(ExperimentConfig):
+    for f in settings:
         convert, many = _CONVERTERS[f.type]
         if many:
             flag = f.name[:-1]
@@ -633,6 +652,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         else:
             sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=convert,
                              help=f.metadata.get("help"))
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -640,39 +660,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="clspool",
         description="Train and compare [CLS] aggregation heads on toy tasks.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_train = subs.add_parser("train", help="one (head, seed) run")
-    _add_common(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_cmp = subs.add_parser("compare", help="heads x seeds grid with tables")
-    _add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_abl = subs.add_parser("ablate-k", help="sweep pooling depth k")
-    _add_common(p_abl)
-    p_abl.add_argument("--k", action="append", type=int, help="k value, repeatable")
-    p_abl.add_argument("--heads", dest="pool_heads", type=int,
-                       help="attention heads in the pooled head")
-    p_abl.add_argument("--pool", help="pooled head kind to sweep (default maxseq+mha)")
-    p_abl.set_defaults(func=cmd_ablate_k)
-
-    p_low = subs.add_parser("lowres", help="compare across training-set sizes")
-    _add_common(p_low)
-    p_low.add_argument("--size", action="append",
-                       help="training size (int or 'full'), repeatable")
-    p_low.set_defaults(func=cmd_lowres)
-
+    # each subcommand takes as flags the ExperimentConfig fields that it reads
+    every = fields(ExperimentConfig)
+    data = [f for f in every if f.name in ("task", "data", "eval_data", "vocab",
+                                           "train_size", "eval_size", "seq_len",
+                                           "data_seed")]
+    _subcommand(subs, "train", cmd_train, "one (head, seed) run",
+                [f for f in every if f.name != "jobs"])
+    _subcommand(subs, "compare", cmd_compare, "heads x seeds grid with tables", every)
+    _subcommand(subs, "ablate-k", cmd_ablate_k, "sweep pooling depth k of one --head",
+                every).add_argument("--k", action="append", type=int,
+                                    help="k value, repeatable")
+    _subcommand(subs, "lowres", cmd_lowres, "compare across training-set sizes",
+                every).add_argument("--size", action="append",
+                                    help="training size (int or 'full'), repeatable")
     p_gc = subs.add_parser("gradcheck", help="finite-difference check per head kind")
     p_gc.add_argument("--bits", type=int, choices=(32, 64))
     p_gc.add_argument("--seed", action="append", type=int)
     p_gc.set_defaults(func=cmd_gradcheck)
-
-    p_eval = subs.add_parser("eval", help="score a checkpoint")
-    _add_common(p_eval)
-    p_eval.add_argument("--ckpt", help="checkpoint path")
-    p_eval.set_defaults(func=cmd_eval)
-
+    _subcommand(subs, "eval", cmd_eval, "score a checkpoint", data).add_argument(
+        "--ckpt", help="checkpoint path")
     return parser
 
 

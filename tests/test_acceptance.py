@@ -83,7 +83,7 @@ ABLATE_TASK_ARGS = ["--task", "pattern", "--train-size", "240", "--eval-size",
 def ablate_run(tmp_path_factory):
     """k sweep plus a baseline/mha compare on the same task and seeds."""
     ablate_out = tmp_path_factory.mktemp("acceptance_ablate")
-    rc = main(["ablate-k", *ABLATE_TASK_ARGS, "--heads", "4",
+    rc = main(["ablate-k", *ABLATE_TASK_ARGS, "--head", "maxseq+mha:h=4",
                "--k", "1", "--k", "2", "--k", "3", "--k", "4",
                "--out", str(ablate_out)])
     assert rc == 0

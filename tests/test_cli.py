@@ -38,8 +38,8 @@ from clspool.training import (
     save_checkpoint,
 )
 
-TINY = ["--train-size", "48", "--eval-size", "16", "--seq-len", "8",
-        "--vocab-size", "30", "--num-layers", "2", "--d-model", "16",
+TINY_DATA = ["--train-size", "48", "--eval-size", "16", "--seq-len", "8"]  # eval takes these
+TINY = [*TINY_DATA, "--vocab-size", "30", "--num-layers", "2", "--d-model", "16",
         "--enc-heads", "2", "--epochs", "1", "--lr", "1e-3", "--dropout", "0.0"]
 SMALL = ["--train-size", "16", "--eval-size", "8"]  # data for a refusal after the load
 
@@ -61,13 +61,52 @@ class TestExitCodes:
         assert "baseline" in err and "maxseq+mha" in err
 
     def test_k_exceeding_layers(self, tmp_path):
-        assert run_cli("ablate-k", "--task", "pattern", *TINY,
+        assert run_cli("ablate-k", "--task", "pattern", *TINY, "--head", "maxseq+mha:h=2",
                        "--k", "12", "--out", str(tmp_path)) == 2
 
-    def test_ablate_pool_must_take_k_and_h(self, tmp_path):
-        for pool in ("maxcls", "mha", "fancy"):
-            assert run_cli("ablate-k", "--task", "pattern", *TINY, "--pool", pool,
-                           "--out", str(tmp_path)) == 2
+    @pytest.mark.parametrize("heads, message", [
+        ([], "ablate-k: cannot sweep k for head 'baseline'; pass one --head that pools "
+             "and attends, such as maxseq+mha:h=4"),
+        (["maxseq+mha:h=2", "normseq+mha:h=2"],
+         "ablate-k sweeps a single head; pass exactly one --head"),
+        (["maxcls"], "ablate-k: cannot sweep k for head 'maxcls'; pass one --head that "
+                     "pools and attends, such as maxseq+mha:h=4"),
+        (["mha:h=2"], "ablate-k: cannot sweep k for head 'mha:h=2'; pass one --head that "
+                      "pools and attends, such as maxseq+mha:h=4"),
+        (["fancy"], "unknown head kind 'fancy'; valid kinds: baseline, maxcls, mha, "
+                    "maxseq+mha, meanseq+mha, normseq+mha"),
+        (["meanseq+mha:k=2,h=2"],
+         "ablate-k: head 'meanseq+mha:k=2,h=2' states k, which the sweep sets"),
+    ])
+    def test_ablate_k_refuses_a_head_it_cannot_sweep(self, tmp_path, monkeypatch, capsys,
+                                                     heads, message):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("a run started"))
+        out = tmp_path / "out"
+        rc = run_cli("ablate-k", "--task", "pattern", *TINY,
+                     *[a for h in heads for a in ("--head", h)], "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *[("eval", flag, value) for flag, value in [
+            ("--head", "baseline"), ("--seed", "1"), ("--epochs", "1"), ("--lr", "-1"),
+            ("--batch-size", "4"), ("--warmup-ratio", "0"), ("--weight-decay", "0"),
+            ("--dropout", "0"), ("--vocab-size", "30"), ("--num-layers", "2"),
+            ("--d-model", "16"), ("--enc-heads", "2"), ("--max-seq-len", "20"),
+            ("--out", "runs"), ("--jobs", "0")]],
+        ("train", "--jobs", "2"),
+        ("ablate-k", "--heads", "2"),
+        ("ablate-k", "--pool", "maxseq+mha"),
+    ])
+    def test_a_flag_the_command_does_not_read_is_refused(self, capsys, command, flag,
+                                                         value):
+        build_parser().parse_args([command, "--task", "pattern"])  # parses without it
+        assert run_cli(command, "--task", "pattern", flag, value) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"error: unrecognized arguments: {flag} {value}\n" in captured.err
 
     def test_zero_lowres_size(self, tmp_path):
         assert run_cli("lowres", "--task", "pattern", *TINY,
@@ -93,21 +132,27 @@ class TestExitCodes:
         assert run_cli("train", "--task", "nope", "--head", "baseline",
                        "--out", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("flag", ["--config", "--data", "--eval-data", "--vocab",
-                                      "--ckpt"])
-    def test_unreadable_input_file_is_usage_error(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, content", [
+        ("--config", None), ("--data", None), ("--eval-data", None), ("--vocab", None),
+        ("--ckpt", None), ("--config", "task=pattern\n".encode("utf-16")),
+        ("--vocab", b"a\n\xff\n"),
+    ], ids=["--config", "--data", "--eval-data", "--vocab", "--ckpt", "--config-utf16",
+            "--vocab-byte-ff"])
+    def test_unreadable_input_file_is_usage_error(self, tmp_path, capsys, flag, content):
         (tmp_path / "vocab.txt").write_text("a\nb\n", encoding="utf-8")
         rows = [{"text": "a b", "label": i % 2} for i in range(4)]
         files = {"--data": _write_jsonl(tmp_path / "tr.jsonl", rows),
                  "--eval-data": _write_jsonl(tmp_path / "ev.jsonl", rows),
                  "--vocab": str(tmp_path / "vocab.txt")}
-        missing = str(tmp_path / "missing")
+        unreadable = str(tmp_path / "unreadable")  # missing, or not UTF-8
+        if content is not None:
+            Path(unreadable).write_bytes(content)
         if flag == "--ckpt":
-            argv = ["eval", "--task", "pattern", *TINY, "--ckpt", missing]
+            argv = ["eval", "--task", "pattern", *TINY_DATA, "--ckpt", unreadable]
         elif flag == "--config":
-            argv = ["train", "--task", "pattern", "--config", missing]
+            argv = ["train", "--task", "pattern", "--config", unreadable]
         else:
-            files[flag] = missing
+            files[flag] = unreadable
             argv = ["train", *[a for item in files.items() for a in item], *TINY,
                     "--head", "baseline", "--seed", "1", "--out", str(tmp_path / "out")]
         assert run_cli(*argv) == 2
@@ -150,7 +195,7 @@ class TestExitCodes:
         bad = [dict(row, label=-1 if i == 1 else row["label"]) for i, row in enumerate(rows)]
         rc = run_cli("eval", "--ckpt", str(tmp_path / "baseline__seed1.ckpt"),
                      "--data", data, "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", bad),
-                     *TINY)
+                     *TINY_DATA)
         assert rc == 2
         captured = capsys.readouterr()
         assert "ev.jsonl:2: class label -1" in captured.err and not captured.out
@@ -164,7 +209,7 @@ class TestExitCodes:
         real = [{"tokens": [5, 6], "label": 0.5}, {"tokens": [6, 5], "label": 1.5}]
         rc = run_cli("eval", "--ckpt", str(tmp_path / "baseline__seed1.ckpt"),
                      "--data", data, "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", real),
-                     *TINY)
+                     *TINY_DATA)
         assert rc == 2
         captured = capsys.readouterr()
         assert "ev.jsonl:1: class label 0.5 is not an integer" in captured.err
@@ -184,7 +229,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, argv", [
         ("train", ["--head", "baseline", "--seed", "1"]),
         ("compare", ["--head", "baseline", "--head", "mha:h=2"]),
-        ("ablate-k", []),
+        ("ablate-k", ["--head", "maxseq+mha:h=2"]),
         ("lowres", ["--head", "baseline", "--head", "mha:h=2", "--size", "2"]),
         ("eval", ["--ckpt", "{ckpt}"]),
     ])
@@ -204,8 +249,9 @@ class TestExitCodes:
                               head=HeadKind("baseline"), learning_rate=1e-3)
             save_checkpoint(ckpt, build_model(cfg, 2), cfg)
         out = tmp_path / "out"
-        rc = run_cli(command, *[a for item in files.items() for a in item], *TINY,
-                     *[a.replace("{ckpt}", str(ckpt)) for a in argv], "--out", str(out))
+        settings = TINY_DATA if command == "eval" else [*TINY, "--out", str(out)]
+        rc = run_cli(command, *[a for item in files.items() for a in item], *settings,
+                     *[a.replace("{ckpt}", str(ckpt)) for a in argv])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag} file {files[flag]} holds no examples\n"
@@ -235,8 +281,8 @@ class TestExitCodes:
           "--head", "baseline"], "head 'baseline' is given twice"),
         (["compare", "--task", "pattern", "--head", "mha", "--head", "mha:h=4"],
          "head 'mha:h=4' is given twice"),
-        (["ablate-k", "--task", "pattern", "--k", "2", "--k", "1", "--k", "2"],
-         "head 'maxseq+mha:k=2,h=4' is given twice"),
+        (["ablate-k", "--task", "pattern", "--head", "maxseq+mha:h=4", "--k", "2", "--k", "1",
+          "--k", "2"], "head 'maxseq+mha:k=2,h=4' is given twice"),
         (["compare", "--task", "pattern", "--head", "baseline", "--head", "mha",
           "--seed", "1", "--seed", "2", "--seed", "1"], "seed 1 is given twice"),
         (["lowres", "--task", "pattern", "--head", "baseline", "--head", "mha",
@@ -248,10 +294,12 @@ class TestExitCodes:
           "--seed", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["compare", "--task", "pattern", *SMALL, "--head", "baseline", "--head", "mha",
           "--seed", "1", "--seed", "-1", "--jobs", "2"], "seed must be >= 0, got -1"),
-        (["ablate-k", "--task", "pattern", *SMALL, "--seed", "-2"],
-         "seed must be >= 0, got -2"),
+        (["ablate-k", "--task", "pattern", *SMALL, "--head", "maxseq+mha:h=4",
+          "--seed", "-2"], "seed must be >= 0, got -2"),
         (["lowres", "--task", "pattern", *SMALL, "--head", "baseline", "--head", "mha",
           "--size", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["lowres", "--task", "pattern", "--head", "baseline", "--head", "mha",
+          "--size", "8", "--size", "abc"], "--size must be an integer or 'full', got 'abc'"),
     ])
     def test_usage_error_names_its_cause(self, tmp_path, monkeypatch, capsys, argv,
                                          message):
@@ -259,7 +307,8 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("a run started"))
         data = _write_jsonl(tmp_path / "tr.jsonl", [{"tokens": [5], "label": 1}])
         out = tmp_path / "out"
-        rc = run_cli(*[a.replace("{data}", data) for a in argv], "--out", str(out))
+        out_flag = [] if argv[0] == "eval" else ["--out", str(out)]  # eval writes nothing
+        rc = run_cli(*[a.replace("{data}", data) for a in argv], *out_flag)
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()  # refused before anything is written
@@ -385,20 +434,37 @@ class TestTrainCommand:
                 "--seed", "3", "--out", str(tmp_path))
         train_metrics = json.loads(capsys.readouterr().out.strip())
         rc = run_cli("eval", "--ckpt", str(tmp_path / "mha-h-2__seed3.ckpt"),
-                     "--task", "pattern", *TINY)
+                     "--task", "pattern", *TINY_DATA)
         assert rc == 0
         evaled = json.loads(capsys.readouterr().out.strip())
         assert evaled["metrics"] == train_metrics
         assert evaled["head"] == "mha:h=2"
 
     def test_eval_takes_the_vocab_size_from_the_checkpoint(self, tmp_path, capsys):
-        # trained at --vocab-size 30, scored without the flag (default 50)
+        # trained at --vocab-size 30 and --max-seq-len 64; eval reads neither
+        # from its config file, which serves train as well
         run_cli("train", "--task", "pattern", *TINY, "--head", "baseline",
                 "--seed", "2", "--out", str(tmp_path))
         train_metrics = json.loads(capsys.readouterr().out.strip())
-        at = TINY.index("--vocab-size")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("vocab_size=50\nmax_seq_len=4\nepochs=9\nout=elsewhere\n",
+                       encoding="utf-8")
         rc = run_cli("eval", "--ckpt", str(tmp_path / "baseline__seed2.ckpt"),
-                     "--task", "pattern", *TINY[:at], *TINY[at + 2:])
+                     "--config", str(cfg), "--task", "pattern", *TINY_DATA)
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out.strip())["metrics"] == train_metrics
+
+    def test_eval_takes_the_max_seq_len_from_the_checkpoint(self, tmp_path, capsys):
+        # 31 tokens with [CLS]; train cuts them to 20, and so must eval
+        rows = [{"tokens": [4 + (i + j) % 9 for j in range(30)], "label": i % 2}
+                for i in range(12)]
+        data = _write_jsonl(tmp_path / "tr.jsonl", rows)
+        assert run_cli("train", "--data", data, "--eval-data", data, *TINY,
+                       "--max-seq-len", "20", "--head", "mha:h=2", "--seed", "1",
+                       "--out", str(tmp_path)) == 0
+        train_metrics = json.loads(capsys.readouterr().out.strip())
+        rc = run_cli("eval", "--ckpt", str(tmp_path / "mha-h-2__seed1.ckpt"),
+                     "--data", data, "--eval-data", data)
         assert rc == 0
         assert json.loads(capsys.readouterr().out.strip())["metrics"] == train_metrics
 
@@ -435,7 +501,7 @@ class TestTrainCommand:
         whole = [{"tokens": [5, 6, i % 7], "label": 10000 * i} for i in range(8)]
         rc = run_cli("eval", "--ckpt", str(tmp_path / "baseline__seed1.ckpt"),
                      "--data", data, "--eval-data", _write_jsonl(tmp_path / "ev.jsonl", whole),
-                     *TINY)
+                     *TINY_DATA)
         assert rc == 0
         assert set(json.loads(capsys.readouterr().out.strip())["metrics"]) == {"spearman"}
 
@@ -526,11 +592,19 @@ class TestCompareCommand:
 
 class TestAblateAndLowres:
     def test_ablate_table_rows(self, tmp_path, capsys):
-        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--heads", "2",
+        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--head", "maxseq+mha:h=2",
                      "--k", "1", "--k", "2", "--seed", "1", "--out", str(tmp_path))
         assert rc == 0
         table = (tmp_path / "ablate_k.txt").read_text()
         assert "k = 1" in table and "k = 2" in table
+
+    def test_ablate_k_sweeps_the_head_it_is_given(self, tmp_path, capsys):
+        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--head", "normseq+mha:h=2",
+                     "--k", "1", "--k", "2", "--seed", "1", "--out", str(tmp_path))
+        assert rc == 0
+        heads = [json.loads(p.read_text())["head"]
+                 for p in sorted((tmp_path / "runs").glob("*.json"))]
+        assert heads == ["normseq+mha:k=1,h=2", "normseq+mha:k=2,h=2"]
 
     def test_ablate_k_report_bytes(self, tmp_path, monkeypatch, capsys):
         import clspool.cli as cli
@@ -543,7 +617,7 @@ class TestAblateAndLowres:
                 n_train=len(train_set), n_eval=len(eval_set), wall_time_s=0.0)
 
         monkeypatch.setattr(cli, "train", fixed)
-        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--heads", "2",
+        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--head", "maxseq+mha:h=2",
                      "--seed", "1", "--seed", "2", "--out", str(tmp_path))
         assert rc == 0
         table = ("k           Acc.        F1       MCC\n"
@@ -609,7 +683,7 @@ DIVERGING = ["--task", "pattern", "--train-size", "16", "--eval-size", "8",
 class TestFailureRule:
     @pytest.mark.parametrize("command,args,runs", [
         ("compare", ["--head", "baseline", "--head", "mha:h=4"], 2),
-        ("ablate-k", ["--k", "1", "--k", "2"], 2),
+        ("ablate-k", ["--head", "maxseq+mha:h=4", "--k", "1", "--k", "2"], 2),
         ("lowres", ["--head", "baseline", "--head", "mha:h=4", "--size", "8",
                     "--size", "full"], 4),
     ])
@@ -635,7 +709,7 @@ class TestFailureRule:
             return real_train(cfg, tr, ev, **kw)
 
         monkeypatch.setattr(cli, "train", flaky)
-        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--heads", "2",
+        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--head", "maxseq+mha:h=2",
                      "--k", "1", "--k", "2", "--seed", "1", "--out", str(tmp_path))
         assert rc == 1
         rows = (tmp_path / "ablate_k.txt").read_text().splitlines()
@@ -711,6 +785,21 @@ class TestConfigFileAndEnv:
         assert run_cli("compare", "--config", str(cfg), "--seed", "2") == 0
         second = (tmp_path / "out" / "compare.csv").read_text()
         assert "seed_1" in first and "seed_2" in second
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("line, message", [
+        ("epochs=1.5", "epochs must be an integer, got '1.5'"),
+        ("lr=fast", "lr must be a number, got 'fast'"),
+        ("seeds=1, abc", "seeds must be an integer, got 'abc'"),
+    ])
+    def test_config_value_error_names_its_line_and_key(self, tmp_path, capsys, command,
+                                                       line, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"task=pattern\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: config file line 2: {message}\n")
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -904,19 +993,19 @@ FIELD_EXAMPLES = {
     "list[int]": ("3,4", [3, 4], ["5", "6"], [5, 6]),
 }
 
-COMMON_FLAGS = {
-    "-h", "--help", "--config", "--task", "--data", "--eval-data", "--vocab", "--head",
-    "--seed", "--epochs", "--lr", "--batch-size", "--warmup-ratio", "--weight-decay",
-    "--dropout", "--train-size", "--eval-size", "--vocab-size", "--seq-len",
-    "--data-seed", "--num-layers", "--d-model", "--enc-heads", "--out", "--jobs",
-    "--max-seq-len",
+DATA_FLAGS = {"-h", "--help", "--config", "--task", "--data", "--eval-data", "--vocab",
+              "--train-size", "--eval-size", "--seq-len", "--data-seed"}
+GRID_FLAGS = DATA_FLAGS | {
+    "--head", "--seed", "--epochs", "--lr", "--batch-size", "--warmup-ratio",
+    "--weight-decay", "--dropout", "--vocab-size", "--num-layers", "--d-model",
+    "--enc-heads", "--max-seq-len", "--out", "--jobs",
 }
 SUBCOMMAND_FLAGS = {
-    "train": COMMON_FLAGS,
-    "compare": COMMON_FLAGS,
-    "ablate-k": COMMON_FLAGS | {"--k", "--heads", "--pool"},
-    "lowres": COMMON_FLAGS | {"--size"},
-    "eval": COMMON_FLAGS | {"--ckpt"},
+    "train": GRID_FLAGS - {"--jobs"},
+    "compare": GRID_FLAGS,
+    "ablate-k": GRID_FLAGS | {"--k"},
+    "lowres": GRID_FLAGS | {"--size"},
+    "eval": DATA_FLAGS | {"--ckpt"},
     "gradcheck": {"-h", "--help", "--bits", "--seed"},
 }
 DEFAULTS = dict(task=None, data=None, eval_data=None, vocab=None, heads=["baseline"],
@@ -958,10 +1047,6 @@ class TestConfigFields:
                 == SUBCOMMAND_FLAGS[name], name
             assert all(a.default is None for a in sub._actions if a.dest != "help")
         assert asdict(_experiment()) == DEFAULTS
-
-    def test_ablate_heads_flag_is_not_the_heads_field(self):
-        args = build_parser().parse_args(["ablate-k", "--heads", "2"])
-        assert args.pool_heads == 2 and _experiment_from_args(args).heads == ["baseline"]
 
     def test_empty_list_value_is_refused(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
