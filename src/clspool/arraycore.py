@@ -293,12 +293,8 @@ def stack_axis0(parts: Sequence[Array]) -> Array:
         if p.shape != parts[0].shape:
             raise ShapeError(f"stack_axis0: shape mismatch {p.shape} vs {parts[0].shape}")
     out = np.stack([p.data for p in parts], axis=0)
-    n = len(parts)
-
-    def bwd(g):
-        return tuple(g[i] for i in range(n))
-
-    return _make("stack_axis0", out, tuple(parts), bwd)
+    # part i's gradient is the view g[i]
+    return _make("stack_axis0", out, tuple(parts), lambda g: tuple(g))
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +515,13 @@ def _row_max(p: np.ndarray) -> np.ndarray:
     return top.reshape(p.shape[:-1] + (1,))
 
 
-def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
-              probs_out: list | None = None) -> Array:
+def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int) -> Array:
     """Multi-head scaled dot-product attention: softmax(Q K^T / sqrt(dh) + M) V.
 
     q is (..., Tq, d); k and v are (..., T, d); mask is (..., T) over the keys,
     and masked keys get MASK_PENALTY added to their scores. Head s uses columns
     s*dh:(s+1)*dh of q, k and v; the head outputs are concatenated back into
-    (..., Tq, d). When probs_out is a list, the (..., h, Tq, T) attention
-    weights are appended to it.
+    (..., Tq, d).
 
     Backward, per head, with P the weights and G the output gradient:
     dV = P^T G, dP = G V^T, dS = P * (dP - rowsum(dP * P)) / sqrt(dh),
@@ -552,8 +546,6 @@ def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int,
     p -= _row_max(p)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    if probs_out is not None:
-        probs_out.append(p)
 
     def bwd(g):
         # split again rather than kept: q, k and v are saved anyway
@@ -644,12 +636,16 @@ def squared_error_mean(preds: Array, targets: np.ndarray) -> Array:
 # gradient checking
 # ---------------------------------------------------------------------------
 
+GRAD_CHECK_STEP = 1e-5
+
+
 def grad_check(f: Callable[[], Array], params: Sequence[Array],
-               step: float = 1e-5, max_coords_per_param: int | None = None,
+               max_coords_per_param: int | None = None,
                rng: np.random.Generator | None = None,
                reference: tuple[Callable[[], Array], Sequence[Array]] | None = None
                ) -> float:
-    """Compare reverse-mode gradients of f() against central differences.
+    """Compare reverse-mode gradients of f() against central differences of
+    half-width GRAD_CHECK_STEP.
 
     Returns max over checked coordinates of |a - n| / max(1e-8, |a| + |n|).
     Meaningful only when the differences are taken in float64: either params
@@ -691,12 +687,12 @@ def grad_check(f: Callable[[], Array], params: Sequence[Array],
         a_flat = a.reshape(-1)
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + GRAD_CHECK_STEP
             f_plus = eval_scalar()
-            flat[i] = orig - step
+            flat[i] = orig - GRAD_CHECK_STEP
             f_minus = eval_scalar()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             denom = max(1e-8, abs(a_flat[i]) + abs(numeric))
             worst = max(worst, abs(a_flat[i] - numeric) / denom)
     return worst

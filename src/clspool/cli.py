@@ -42,7 +42,7 @@ from .data import (
     subsample,
 )
 from .encoder import EncoderConfig
-from .heads import ConfigurationError, HeadKind, parse_head_spec
+from .heads import VALID_HEAD_KINDS, ConfigurationError, HeadKind, parse_head_spec
 from .metrics import SeedAggregate, aggregate_seeds, check_range
 from .training import (
     Model,
@@ -77,6 +77,7 @@ class RunReport:
     """Aggregate of one head across seeds, plus its gap to the baseline head."""
 
     head_spec: str
+    runs: dict[int, dict[str, float]]   # seed -> metrics, in run order; {} if it failed
     aggregates: dict[str, SeedAggregate]
     delta: dict[str, float] = field(default_factory=dict)
 
@@ -127,13 +128,15 @@ _CONVERTERS = {"str | None": (str, False), "str": (str, False), "int": (int, Fal
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
-    """Defaults, then config-file values, then flags; CLSPOOL_SEED stands in
-    for seeds that neither the file nor a flag gives."""
+    """Defaults, then config-file values, then flags; for a subcommand that
+    takes --seed, CLSPOOL_SEED stands in for seeds that neither the file nor a
+    flag gives."""
     values = _read_config_file(args.config) if args.config else {}
     for f in fields(ExperimentConfig):
         if getattr(args, f.name, None) is not None:
             values[f.name] = getattr(args, f.name)
-    if "seeds" not in values and (raw := os.environ.get("CLSPOOL_SEED")):
+    if hasattr(args, "seeds") and "seeds" not in values \
+            and (raw := os.environ.get("CLSPOOL_SEED")):
         values["seeds"] = [_convert(int, raw, "CLSPOOL_SEED")]
     return ExperimentConfig(**values)
 
@@ -226,6 +229,13 @@ def _load_datasets(exp: ExperimentConfig):
     raise CliError("no input: pass --task NAME or --data PATH")
 
 
+def _check_seq_len(exp: ExperimentConfig, limit: str) -> None:
+    """A --task's sequences and their [CLS] slot must fit ``limit``, exp.max_seq_len."""
+    if exp.task and exp.seq_len + 1 > exp.max_seq_len:
+        raise CliError(f"--seq-len {exp.seq_len} plus the one [CLS] slot exceeds "
+                       f"{limit} {exp.max_seq_len}")
+
+
 def _plan(exp: ExperimentConfig, heads: list[str],
           sizes=(None,)) -> list[list[tuple]]:
     """Check every setting, load the data once and build every run, before any
@@ -234,9 +244,7 @@ def _plan(exp: ExperimentConfig, heads: list[str],
     and seed, in head-then-seed order."""
     if exp.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {exp.jobs}")
-    if exp.task and exp.seq_len + 1 > exp.max_seq_len:
-        raise CliError(f"--seq-len {exp.seq_len} plus the one [CLS] slot exceeds "
-                       f"--max-seq-len {exp.max_seq_len}")
+    _check_seq_len(exp, "--max-seq-len")
     kinds = [parse_head_spec(spec) for spec in heads]
     for given in ([f"head '{kind.spec()}'" for kind in kinds],
                   [f"seed {seed}" for seed in exp.seeds],
@@ -346,15 +354,15 @@ def build_reports(records: list[dict], heads: list[str]) -> list[RunReport]:
     """
     reports = []
     for spec in heads:
-        rows = [r for r in records if r["head"] == spec and "error" not in r]
-        rows.sort(key=lambda r: r["seed"])
+        runs = {r["seed"]: {} if "error" in r else r["metrics"]
+                for r in records if r["head"] == spec}
         per_seed: dict[str, list[float]] = {}   # metric -> values in seed order
-        for row in rows:
-            for metric, value in row["metrics"].items():
+        for seed in sorted(runs):
+            for metric, value in runs[seed].items():
                 check_range(metric, value)
                 per_seed.setdefault(metric, []).append(value)
         aggregates = {m: aggregate_seeds(vals) for m, vals in per_seed.items()}
-        reports.append(RunReport(head_spec=spec, aggregates=aggregates))
+        reports.append(RunReport(head_spec=spec, runs=runs, aggregates=aggregates))
     base = next((r for r in reports if r.head_spec == BASELINE), None)
     if base is not None:
         for report in reports:
@@ -429,19 +437,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 def _csv_rows(reports: list[RunReport]) -> list[list[str]]:
     """One row per head and metric it has: head, metric, the value of each
-    seed, mean, std, delta (empty without a baseline value)."""
+    seed's run (empty where it failed), mean, std, delta (empty without a
+    baseline value)."""
     rows = []
     for r in reports:
         for m in _metric_columns([r]):
             agg = r.aggregates[m]
             delta = repr(r.delta[m]) if m in r.delta else ""
-            rows.append([r.head_spec, m, *map(repr, agg.values), repr(agg.mean),
-                         repr(agg.std), delta])
+            rows.append([r.head_spec, m,
+                         *(repr(float(run[m])) if m in run else "" for run in r.runs.values()),
+                         repr(agg.mean), repr(agg.std), delta])
     return rows
 
 
-def write_compare_csv(path: Path, reports: list[RunReport], seeds: list[int]) -> None:
-    header = ["head", "metric"] + [f"seed_{s}" for s in seeds] + ["mean", "std", "delta"]
+def write_compare_csv(path: Path, reports: list[RunReport]) -> None:
+    """The grid's CSV: one seed_<s> column per seed, in run order."""
+    header = ["head", "metric", *(f"seed_{s}" for s in reports[0].runs), "mean", "std", "delta"]
     _write_csv(path, header, _csv_rows(reports))
 
 
@@ -480,7 +491,7 @@ def cmd_compare(args) -> int:
     std_table = format_std_table(reports)
     (out_dir / "compare.txt").write_text(mean_table, encoding="utf-8")
     (out_dir / "stddev.txt").write_text(std_table, encoding="utf-8")
-    write_compare_csv(out_dir / "compare.csv", reports, exp.seeds)
+    write_compare_csv(out_dir / "compare.csv", reports)
     print(mean_table)
     print("Seed standard deviations:")
     print(std_table)
@@ -506,7 +517,7 @@ def cmd_ablate_k(args) -> int:
     table = _table("k", 6, [(f"k = {k}", _means(r)) for k, r in zip(ks, reports)],
                    _metric_columns(reports))
     (out_dir / "ablate_k.txt").write_text(table, encoding="utf-8")
-    write_compare_csv(out_dir / "ablate_k.csv", reports, exp.seeds)
+    write_compare_csv(out_dir / "ablate_k.csv", reports)
     print(table)
     return status
 
@@ -552,20 +563,15 @@ def gradcheck_model(bits: int, seed: int = 13) -> tuple[Model, np.ndarray, np.nd
                       seed=seed)
     model = build_model(cfg, n_classes=2, dtype=dtype)
     rng = np.random.default_rng([seed, 3])
-    for name, p in model.named_parameters():
-        if p.data.ndim == 2:
-            p.data[:] = rng.normal(0.0, 0.25, p.data.shape).astype(dtype)
-        elif "gain" in name:
-            p.data[:] = (1.0 + rng.normal(0.0, 0.25, p.data.shape)).astype(dtype)
-        else:
-            p.data[:] = rng.normal(0.0, 0.25, p.data.shape).astype(dtype)
+    for name, p in model.named_parameters():  # layer-norm gains center on 1, the rest on 0
+        noise = rng.normal(0.0, 0.25, p.data.shape)
+        p.data[:] = (1.0 + noise if "gain" in name else noise).astype(dtype)
     ids = np.concatenate([[1], rng.integers(4, 16, size=6), [0]])[None, :]
     mask = np.array([[1.0] * 7 + [0.0]])
     return model, ids, mask
 
 
-GRADCHECK_HEAD_SPECS = ("baseline", "maxcls:k=3", "mha:h=4", "maxseq+mha:k=3,h=4",
-                        "meanseq+mha:k=3,h=4", "normseq+mha:k=3,h=4")
+GRADCHECK_HEAD_SPECS = tuple(HeadKind(kind).spec() for kind in VALID_HEAD_KINDS)
 
 
 def _head_loss(model: Model, kind: HeadKind, ids, mask):
@@ -594,7 +600,7 @@ def _gradcheck_errors(bits: int, seed: int) -> dict[str, float]:
         if bits == 32:
             reference = (lambda: _head_loss(twin, kind, ids, mask), twin_params)
         errors[spec] = ac.grad_check(
-            lambda: _head_loss(model, kind, ids, mask), params, step=1e-5,
+            lambda: _head_loss(model, kind, ids, mask), params,
             max_coords_per_param=4, reference=reference,
             rng=shared_rng if bits == 32 else np.random.default_rng(seed))
     return errors
@@ -624,6 +630,7 @@ def cmd_eval(args) -> int:
         model, cfg = model_from_checkpoint(args.ckpt)
     # generated data must fit the checkpoint's embedding; file data is cut to its length
     exp.vocab_size, exp.max_seq_len = cfg.encoder.vocab_size, cfg.encoder.max_seq_len
+    _check_seq_len(exp, "the checkpoint's max_seq_len")
     _, eval_set, task, _ = _load_datasets(exp)
     if cfg.loss == "cross_entropy":
         check_class_labels([], eval_set)
@@ -641,7 +648,7 @@ def _subcommand(subs, name: str, func, help_: str, settings) -> argparse.Argumen
     """A subcommand running ``func`` that takes --config and a flag for each
     ExperimentConfig field in ``settings``."""
     sub = subs.add_parser(name, help=help_)
-    sub.set_defaults(func=func)
+    sub.set_defaults(func=func, parser=sub)
     sub.add_argument("--config", help="flat key=value config file")
     for f in settings:
         convert, many = _CONVERTERS[f.type]
@@ -677,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc = subs.add_parser("gradcheck", help="finite-difference check per head kind")
     p_gc.add_argument("--bits", type=int, choices=(32, 64))
     p_gc.add_argument("--seed", action="append", type=int)
-    p_gc.set_defaults(func=cmd_gradcheck)
+    p_gc.set_defaults(func=cmd_gradcheck, parser=p_gc)
     _subcommand(subs, "eval", cmd_eval, "score a checkpoint", data).add_argument(
         "--ckpt", help="checkpoint path")
     return parser
@@ -686,7 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # refused under the subcommand's usage line, not the root's
+            args.parser.error("unrecognized arguments: " + " ".join(unknown))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -154,14 +154,22 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
     )
 
 
+def attention_block(query: Array, context: Array, params, mask: np.ndarray,
+                    num_heads: int) -> Array:
+    """Multi-head attention of the query rows (..., Tq, d) over the context rows
+    (..., T, d) through params' wq, wk, wv and wo: no residual, no layer norm.
+    Masked context rows get score -1e9 before softmax."""
+    q = ac.matmul(query, params.wq)
+    k = ac.matmul(context, params.wk)
+    v = ac.matmul(context, params.wv)
+    return ac.matmul(ac.attention(q, k, v, mask, num_heads), params.wo)
+
+
 def self_attention(x: Array, layer: EncoderLayerParams, mask: np.ndarray,
                    num_heads: int) -> Array:
-    """Multi-head self-attention over x (..., T, d); residual and layer norm
-    are the caller's job. Masked keys get score -1e9 before softmax."""
-    q = ac.matmul(x, layer.wq)
-    k = ac.matmul(x, layer.wk)
-    v = ac.matmul(x, layer.wv)
-    return ac.matmul(ac.attention(q, k, v, mask, num_heads), layer.wo)
+    """The attention block with x (..., T, d) as both query and context rows;
+    residual and layer norm are the caller's job."""
+    return attention_block(x, x, layer, mask, num_heads)
 
 
 def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,

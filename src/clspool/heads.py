@@ -19,8 +19,9 @@ Every pool works position by position, so pooling the [CLS] rows alone gives
 the [CLS] row of the pooled sequence: a kind that does not attend slices that
 row from the stacked layers before it pools, and a kind that attends pools
 every row and slices after. Every head ends in a plain linear classifier (no
-activation). The extra attention layer has no residual, layer norm, bias, or
-feed-forward: it is a bare attention block so the comparison between kinds
+activation). The extra attention layer is the encoder's own attention block
+(``encoder.attention_block``) over the head's projections, and nothing more:
+no residual, layer norm, bias or feed-forward, so the comparison between kinds
 stays clean.
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import arraycore as ac
 from .arraycore import Array
-from .encoder import LayerStack
+from .encoder import LayerStack, attention_block
 
 __all__ = [
     "HeadKind",
@@ -141,10 +142,11 @@ def parse_head_spec(spec: str) -> HeadKind:
 
 @dataclass
 class HeadParams:
-    """Attention projections (present only for mha-style kinds) + classifier.
+    """Attention projections (present only for kinds that attend) + classifier.
 
-    wq/wk/wv/wo are d x d; the per-head d x (d/h) projections are the column
-    blocks of wq/wk/wv. The classifier is linear with no activation after it.
+    wq/wk/wv/wo are d x d, as in an encoder layer; the per-head d x (d/h)
+    projections are the column blocks of wq/wk/wv. The classifier is linear
+    with no activation after it.
     """
 
     w_cls: Array
@@ -186,24 +188,14 @@ def init_head_params(kind: HeadKind, d_model: int, n_classes: int,
 
 
 def cls_attend(query_cls: Array, context: Array, params: HeadParams,
-               mask: np.ndarray, num_heads: int = DEFAULT_NUM_HEADS,
-               return_weights: bool = False):
-    """One multi-head attention step with a single query row.
-
-    No residual, no layer norm, no activation afterward: heads are
-    concatenated and projected by wo, and that is the output. With
-    return_weights, also returns the list of per-head (..., 1, T) weights.
-    """
+               mask: np.ndarray, num_heads: int = DEFAULT_NUM_HEADS) -> Array:
+    """The extra attention layer: the encoder's attention block with the
+    (..., 1, d) [CLS] row as its one query over the context rows, through the
+    head's own projections. Its output, the heads concatenated and projected
+    by wo, is the (..., 1, d) aggregate."""
     if params.wq is None or params.wk is None or params.wv is None or params.wo is None:
         raise ConfigurationError("cls_attend: head params carry no attention projections")
-    q = ac.matmul(query_cls, params.wq)
-    k = ac.matmul(context, params.wk)
-    v = ac.matmul(context, params.wv)
-    probs: list[np.ndarray] = []
-    out = ac.matmul(ac.attention(q, k, v, mask, num_heads, probs_out=probs), params.wo)
-    if return_weights:
-        return out, [probs[0][..., s, :, :] for s in range(num_heads)]
-    return out
+    return attention_block(query_cls, context, params, mask, num_heads)
 
 
 def aggregate(kind: HeadKind, stack: LayerStack, params: HeadParams) -> Array:

@@ -32,7 +32,6 @@ _BOUNDS = {
 
 @dataclass(frozen=True)
 class SeedAggregate:
-    values: tuple[float, ...]
     mean: float
     std: float
 
@@ -51,17 +50,10 @@ def accuracy(preds: Sequence[int], labels: Sequence[int]) -> float:
 
 
 def _confusion(preds: Sequence[int], labels: Sequence[int]) -> tuple[int, int, int, int]:
-    tp = fp = fn = tn = 0
-    for p, y in zip(preds, labels):
-        if p == 1 and y == 1:
-            tp += 1
-        elif p == 1 and y == 0:
-            fp += 1
-        elif p == 0 and y == 1:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
+    """(tp, fp, fn, tn); a pair that is none of the first three counts as tn."""
+    pairs = list(zip(preds, labels))
+    tp, fp, fn = pairs.count((1, 1)), pairs.count((1, 0)), pairs.count((0, 1))
+    return tp, fp, fn, len(pairs) - tp - fp - fn
 
 
 def f1_binary(preds: Sequence[int], labels: Sequence[int]) -> float:
@@ -131,7 +123,7 @@ def aggregate_seeds(values: Sequence[float]) -> SeedAggregate:
     vals = tuple(float(v) for v in values)
     mean = sum(vals) / len(vals)
     var = sum((v - mean) ** 2 for v in vals) / len(vals)
-    return SeedAggregate(values=vals, mean=mean, std=math.sqrt(var))
+    return SeedAggregate(mean=mean, std=math.sqrt(var))
 
 
 def check_range(metric: str, value: float) -> None:

@@ -368,9 +368,9 @@ def _infer_n_classes(cfg: TrainConfig, train_set, eval_set) -> int:
     return max(2, 1 + max(ex.label for ex in train_set + eval_set))
 
 
-def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],
-          dtype=np.float32) -> tuple[Model, TrainResult]:
-    """Run the fine-tuning loop; deterministic given (cfg, data)."""
+def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example]
+          ) -> tuple[Model, TrainResult]:
+    """Run the fine-tuning loop, in float32; deterministic given (cfg, data)."""
     if not train_set or not eval_set:
         raise TrainingError("train: datasets must be nonempty")
     # glibc mmaps a block this large; freeing it raises the mmap threshold to
@@ -379,7 +379,7 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example],
     np.empty(4 << 20, dtype=np.uint8)
     started = time.perf_counter()
     n_classes = _infer_n_classes(cfg, train_set, eval_set)
-    model = build_model(cfg, n_classes, dtype=dtype)
+    model = build_model(cfg, n_classes)
     rng_shuffle = np.random.default_rng([cfg.seed, 1])
     rng_dropout = np.random.default_rng([cfg.seed, 2])
 

@@ -42,6 +42,8 @@ TINY_DATA = ["--train-size", "48", "--eval-size", "16", "--seq-len", "8"]  # eva
 TINY = [*TINY_DATA, "--vocab-size", "30", "--num-layers", "2", "--d-model", "16",
         "--enc-heads", "2", "--epochs", "1", "--lr", "1e-3", "--dropout", "0.0"]
 SMALL = ["--train-size", "16", "--eval-size", "8"]  # data for a refusal after the load
+# 1 layer, max_seq_len 8, maxseq+mha:k=1,h=2 at init
+TINY_CKPT = str(Path(__file__).parent / "data" / "tiny.ckpt")
 
 
 def run_cli(*argv) -> int:
@@ -107,6 +109,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert not captured.out
         assert f"error: unrecognized arguments: {flag} {value}\n" in captured.err
+
+    @pytest.mark.parametrize("command, argv, unknown", [
+        ("eval", ["--ckpt", "x"], "--num-layers 2"),
+        ("train", ["--task", "pattern", "--head", "baseline"], "--jobs 2"),
+    ], ids=["eval", "train"])
+    def test_an_unknown_flag_is_reported_under_the_subcommand_usage(self, capsys, command,
+                                                                    argv, unknown):
+        assert run_cli(command, "--help") == 0
+        usage = capsys.readouterr().out.partition("\n\n")[0] + "\n"
+        assert usage.startswith(f"usage: clspool {command} [-h] [--config CONFIG]")
+        assert run_cli(command, *argv, *unknown.split()) == 2
+        assert capsys.readouterr() == (
+            "", f"{usage}clspool {command}: error: unrecognized arguments: {unknown}\n")
 
     def test_zero_lowres_size(self, tmp_path):
         assert run_cli("lowres", "--task", "pattern", *TINY,
@@ -376,6 +391,14 @@ class TestRunSettingRefusals:
                                            "exceeds --max-seq-len 64\n")
         assert not out.exists()
 
+    def test_eval_refuses_a_seq_len_past_the_checkpoints_max_seq_len(self, capsys):
+        data = ["--task", "pattern", "--train-size", "8", "--eval-size", "8"]
+        rc = run_cli("eval", "--ckpt", TINY_CKPT, *data, "--seq-len", "40")
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: --seq-len 40 plus the one [CLS] slot "
+                                           "exceeds the checkpoint's max_seq_len 8\n")
+        assert run_cli("eval", "--ckpt", TINY_CKPT, *data, "--seq-len", "7") == 0
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_an_encoder_past_max_parameters_builds_no_model(self, tmp_path, monkeypatch,
                                                             capsys, command):
@@ -589,6 +612,18 @@ class TestCompareCommand:
         table = (tmp_path / "compare.txt").read_text()
         assert "Delta row omitted" in table
 
+    def test_seed_columns_follow_the_given_seeds(self, tmp_path, monkeypatch, capsys):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "train", _accuracy_by_head_and_seed)
+        rc = run_cli("compare", "--task", "pattern", *TINY, "--head", "baseline",
+                     "--head", "mha:h=2", "--seed", "3", "--seed", "1",
+                     "--out", str(tmp_path))
+        assert rc == 0
+        assert (tmp_path / "compare.csv").read_text() == (
+            "head,metric,seed_3,seed_1,mean,std,delta\n"
+            "baseline,accuracy,0.6875,0.5625,0.625,0.0625,0.0\n"
+            "mha:h=2,accuracy,0.9375,0.8125,0.875,0.0625,0.25\n")
+
 
 class TestAblateAndLowres:
     def test_ablate_table_rows(self, tmp_path, capsys):
@@ -637,6 +672,24 @@ class TestAblateAndLowres:
             "0.002604166666666685,\n"
             '"maxseq+mha:k=2,h=2",mcc,-0.109375,-0.11160714285714286,-0.11049107142857142,'
             "0.0011160714285714315,\n")
+
+    def test_a_failed_seed_leaves_its_cell_empty(self, tmp_path, monkeypatch, capsys):
+        import clspool.cli as cli
+
+        def flaky(cfg, tr, ev, **kw):
+            if cfg.head.k == 1 and cfg.seed == 2:
+                raise cli.TrainingError("injected divergence")
+            return _accuracy_by_head_and_seed(cfg, tr, ev)
+
+        monkeypatch.setattr(cli, "train", flaky)
+        rc = run_cli("ablate-k", "--task", "pattern", *TINY, "--head", "maxseq+mha:h=2",
+                     "--k", "1", "--k", "2", "--seed", "1", "--seed", "2", "--seed", "3",
+                     "--out", str(tmp_path))
+        assert rc == 1
+        assert (tmp_path / "ablate_k.csv").read_text() == (
+            "head,metric,seed_1,seed_2,seed_3,mean,std,delta\n"
+            '"maxseq+mha:k=1,h=2",accuracy,0.625,,0.75,0.6875,0.0625,\n'
+            '"maxseq+mha:k=2,h=2",accuracy,0.6875,0.75,0.8125,0.75,0.05103103630798288,\n')
 
     def test_lowres_csv_bytes_with_one_seed_and_no_baseline(self, tmp_path, monkeypatch,
                                                            capsys):
@@ -814,6 +867,16 @@ class TestConfigFileAndEnv:
         assert rc == 0
         assert (tmp_path / "baseline__seed9.json").exists()
 
+    def test_eval_does_not_read_the_env_seed(self, monkeypatch, capsys):
+        argv = ["eval", "--ckpt", TINY_CKPT, "--task", "pattern", "--seq-len", "6",
+                "--train-size", "8", "--eval-size", "8"]
+        monkeypatch.delenv("CLSPOOL_SEED", raising=False)
+        assert run_cli(*argv) == 0
+        scored = capsys.readouterr()
+        monkeypatch.setenv("CLSPOOL_SEED", "nine")
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr() == scored
+
     @pytest.mark.parametrize("value, message", [
         ("nine", "CLSPOOL_SEED must be an integer, got 'nine'"),
         ("-9", "seed must be >= 0, got -9"),
@@ -878,7 +941,7 @@ class TestReportAssembly:
         ] + [{"task": "t", "head": "normseq+mha:k=3,h=4", "seed": seed, "metrics": {},
               "error": "diverged", "wall_time_s": 0.0} for seed in (1, 2)]
         heads = ["baseline", "mha:h=4", "maxcls:k=3", "normseq+mha:k=3,h=4"]
-        write_compare_csv(tmp_path / "c.csv", build_reports(records, heads), [1, 2])
+        write_compare_csv(tmp_path / "c.csv", build_reports(records, heads))
         assert (tmp_path / "c.csv").read_text() == (
             "head,metric,seed_1,seed_2,mean,std,delta\n"
             "baseline,accuracy,0.8,0.9,0.8500000000000001,0.04999999999999999,0.0\n"
@@ -938,6 +1001,16 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # exits on a parse error
+
+
+def _accuracy_by_head_and_seed(cfg, train_set, eval_set, **kw):
+    """Stands in for cli.train: accuracy 0.5, plus 0.25 for mha or k / 16 for
+    a head that pools, plus seed / 16."""
+    acc = 0.5 + {"baseline": 0.0, "mha": 0.25}.get(cfg.head.kind, cfg.head.k / 16) \
+        + cfg.seed / 16
+    return None, TrainResult(eval_metrics={"accuracy": acc}, train_metrics={"accuracy": 1.0},
+                             final_loss=0.5, n_train=len(train_set), n_eval=len(eval_set),
+                             wall_time_s=0.0)
 
 
 def _exit_in_mha_cells(cell):

@@ -196,5 +196,5 @@ def test_full_encoder_grad_check():
         stack = encode(params, ids, mask)
         return ac.sum_all(ac.gelu(ac.slice_rows(stack.activations[1], 0, 1)))
 
-    err = grad_check(f, plist, step=1e-5)  # all coordinates
+    err = grad_check(f, plist)  # all coordinates
     assert err < 1e-4

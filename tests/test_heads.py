@@ -138,12 +138,10 @@ class TestClsAttend:
         rng = np.random.default_rng(12)
         params = make_params(rng, d=8)
         ctx = Array(rng.normal(size=(1, 8)))
-        out, weights = cls_attend(Array(ctx.data[0:1].copy()), ctx, params,
-                                  np.ones(1), num_heads=2, return_weights=True)
-        for w in weights:
-            assert np.allclose(w, [[1.0]], atol=0)
+        out = cls_attend(Array(ctx.data[0:1].copy()), ctx, params, np.ones(1), num_heads=2)
+        # the one key's weight is exactly 1.0, so the output is its value, bit for bit
         want = (ctx.data @ params.wv.data) @ params.wo.data
-        assert np.allclose(out.data, want, atol=1e-12)
+        assert np.array_equal(out.data, want)
 
     def test_identical_rows_swamp_attention(self):
         rng = np.random.default_rng(13)
@@ -177,17 +175,17 @@ class TestClsAttend:
         want = mixed @ params.wo.data
         assert np.allclose(out.data, [want], atol=1e-12)
 
-    def test_weights_sum_to_one_over_valid(self):
+    def test_masked_context_rows_do_not_change_the_output(self):
         rng = np.random.default_rng(14)
         params = make_params(rng, d=8)
+        mask = np.array([1, 1, 1, 1, 0, 0], dtype=float)
         for _ in range(20):
-            ctx = Array(rng.normal(size=(6, 8)))
-            mask = np.array([1, 1, 1, 1, 0, 0], dtype=float)
-            _, weights = cls_attend(Array(ctx.data[0:1].copy()), ctx, params,
-                                    mask, num_heads=2, return_weights=True)
-            for w in weights:
-                assert abs(w.sum() - 1.0) < 1e-12
-                assert np.all(w[0, 4:] == 0.0)
+            ctx = rng.normal(size=(6, 8))
+            query = ctx[0:1].copy()
+            out = cls_attend(Array(query), Array(ctx), params, mask, num_heads=2)
+            ctx[4:] = rng.normal(scale=100.0, size=(2, 8))
+            again = cls_attend(Array(query), Array(ctx), params, mask, num_heads=2)
+            assert np.array_equal(again.data, out.data)
 
     def test_missing_projections(self):
         params = HeadParams(w_cls=Array(np.zeros((4, 2))), b_cls=Array(np.zeros(2)))
@@ -382,7 +380,7 @@ class TestHeadForward:
             def f():
                 return ac.sum_all(head_forward(kind, stack, params))
 
-            err = grad_check(f, plist, step=1e-5)
+            err = grad_check(f, plist)
             assert err < 1e-4, f"{kind.spec()}: rel err {err}"
 
 

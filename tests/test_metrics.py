@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clspool.metrics import (
+    SeedAggregate,
     accuracy,
     aggregate_seeds,
     check_range,
@@ -154,7 +155,7 @@ class TestAggregateSeeds:
 
     def test_too_few(self):
         agg = aggregate_seeds([0.75])
-        assert agg.values == (0.75,) and agg.mean == 0.75 and agg.std == 0.0
+        assert agg == SeedAggregate(mean=0.75, std=0.0)
         with pytest.raises(ValueError):
             aggregate_seeds([])
 
