@@ -95,9 +95,11 @@ class Node:
     so a graph holds no reference cycles and refcounting frees it as soon as
     its root is dropped.
 
-    ``bwd`` never writes into its incoming gradient: backward stores a
-    gradient it is handed without copying it, and one buffer can reach several
-    inputs (``add`` returns it twice, ``stack_axis0`` returns views of it).
+    ``bwd`` returns an array for every input, so each node that backward
+    reaches from its root has a gradient. It never writes into its incoming
+    gradient: backward stores a gradient it is handed without copying it, and
+    one buffer can reach several inputs (``add`` returns it twice,
+    ``stack_axis0`` returns views of it).
     """
 
     __slots__ = ("op", "inputs", "bwd", "dtype", "grad")
@@ -207,13 +209,9 @@ class Tape:
         slot.grad = np.array(seed, dtype=root.data.dtype) if slot.grad is None \
             else slot.grad + seed
         for node in reversed(self.nodes):
-            if node.grad is None:
-                continue
             grads = node.bwd(node.grad)
             node.grad = None
             for inp, g in zip(node.inputs, grads):
-                if g is None:
-                    continue
                 if type(inp) is not Node:  # a leaf owns its buffer (or the optimizer does)
                     if inp.grad is None:
                         inp.grad = np.array(g, dtype=inp.data.dtype, copy=True)

@@ -50,7 +50,7 @@ from .training import (
     TrainingError,
     TrainResult,
     build_model,
-    check_class_labels,
+    check_labels,
     evaluate,
     model_from_checkpoint,
     save_checkpoint,
@@ -264,8 +264,8 @@ def _plan(exp: ExperimentConfig, heads: list[str],
     plan = []
     for size in sizes:
         subset = train_set if size is None else subsample(train_set, size, exp.data_seed)
-        if loss == "cross_entropy":
-            check_class_labels(subset, eval_set)
+        check_labels(subset, "training", loss)
+        check_labels(eval_set, "eval", loss)
         plan.append([(task, spec, cfg, subset, eval_set) for spec, cfg in cfgs])
     return plan
 
@@ -571,19 +571,17 @@ def gradcheck_model(bits: int, seed: int = 13) -> tuple[Model, np.ndarray, np.nd
     return model, ids, mask
 
 
-GRADCHECK_HEAD_SPECS = tuple(HeadKind(kind).spec() for kind in VALID_HEAD_KINDS)
-
-
 def _head_loss(model: Model, kind: HeadKind, ids, mask):
     return ac.sum_all(replace(model, head_kind=kind).forward(ids, mask))
 
 
 def _gradcheck_errors(bits: int, seed: int) -> dict[str, float]:
-    """Worst relative gradient error per head spec.
+    """Worst relative gradient error per head kind, each probing coordinates
+    drawn from a fresh stream seeded with ``seed``.
 
     In 32-bit mode the central differences run on a float64 twin holding the
     same parameter values, as float32 differences cannot resolve small
-    gradients. 32-bit probes share one coordinate stream across specs.
+    gradients.
     """
     model, ids, mask = gradcheck_model(bits, seed)
     params = [p for _, p in model.named_parameters()]
@@ -592,17 +590,13 @@ def _gradcheck_errors(bits: int, seed: int) -> dict[str, float]:
         twin_params = [p for _, p in twin.named_parameters()]
         for p32, p64 in zip(params, twin_params):
             p64.data = p32.data.astype(np.float64)
-    shared_rng = np.random.default_rng(seed)
     errors = {}
-    for spec in GRADCHECK_HEAD_SPECS:
-        kind = parse_head_spec(spec)
-        reference = None
-        if bits == 32:
-            reference = (lambda: _head_loss(twin, kind, ids, mask), twin_params)
-        errors[spec] = ac.grad_check(
+    for kind in map(HeadKind, VALID_HEAD_KINDS):
+        reference = (lambda: _head_loss(twin, kind, ids, mask), twin_params) if bits == 32 \
+            else None
+        errors[kind.spec()] = ac.grad_check(
             lambda: _head_loss(model, kind, ids, mask), params,
-            max_coords_per_param=4, reference=reference,
-            rng=shared_rng if bits == 32 else np.random.default_rng(seed))
+            max_coords_per_param=4, reference=reference, rng=np.random.default_rng(seed))
     return errors
 
 
@@ -632,8 +626,7 @@ def cmd_eval(args) -> int:
     exp.vocab_size, exp.max_seq_len = cfg.encoder.vocab_size, cfg.encoder.max_seq_len
     _check_seq_len(exp, "the checkpoint's max_seq_len")
     _, eval_set, task, _ = _load_datasets(exp)
-    if cfg.loss == "cross_entropy":
-        check_class_labels([], eval_set)
+    check_labels(eval_set, "eval", cfg.loss)
     metrics = evaluate(model, eval_set)
     print(json.dumps({"task": task, "head": cfg.head.spec(), "metrics": metrics},
                      sort_keys=True))

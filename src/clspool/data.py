@@ -260,7 +260,9 @@ _GENERATORS = {
 
 
 def gen_synthetic(spec: SyntheticTaskSpec) -> tuple[list[Example], list[Example]]:
-    """Deterministic (train, eval) datasets; eval sequences never repeat train."""
+    """Deterministic (train, eval) datasets. Eval sequences repeat neither a
+    training sequence nor each other; ValueError when 100 draws in a row for one
+    eval example all repeat."""
     if spec.vocab_size < _FILL_START + 2:
         raise ValueError(f"vocab_size {spec.vocab_size} too small for generated tasks")
     if spec.kind == "pattern_containment" and spec.seq_len[0] < 2:
@@ -278,6 +280,11 @@ def gen_synthetic(spec: SyntheticTaskSpec) -> tuple[list[Example], list[Example]
             ex = gen(spec, rng, i % 2)
             if tuple(ex.token_ids) not in seen:
                 break
+        else:
+            raise ValueError(f"{spec.kind}: cannot draw eval_size {spec.eval_size} sequences "
+                             f"unlike train_size {spec.train_size} at vocab_size "
+                             f"{spec.vocab_size} and seq_len {spec.seq_len}: 100 draws for "
+                             f"eval example {i + 1} all repeated one")
         seen.add(tuple(ex.token_ids))
         evalset.append(ex)
     return train, evalset

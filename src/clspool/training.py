@@ -47,7 +47,7 @@ __all__ = [
     "lr_at_step",
     "adamw_step",
     "build_model",
-    "check_class_labels",
+    "check_labels",
     "pad_batch",
     "evaluate",
     "train",
@@ -139,31 +139,30 @@ def lr_at_step(step: int, total_steps: int, cfg: TrainConfig) -> float:
 class OptimizerState:
     """AdamW state over one flat buffer holding every parameter it updates.
 
-    Binding copies the parameters' values and gradients into ``data`` and
-    ``grad``, decayed parameters first, and makes each Array's .data and .grad
-    a view of its slice, so backward accumulates straight into ``grad``."""
+    Building it lays the parameters out in ``data`` and ``grad``, decayed
+    parameters first, copies in their values and gradients, and makes each
+    Array's .data and .grad a view of its slice, so backward accumulates
+    straight into ``grad``."""
 
-    def __init__(self):
+    def __init__(self, named_params: list[tuple[str, Array]]):
         self.step = 0
+        self.named = named_params
+        exempt = [_decay_exempt(name) for name, _ in named_params]
+        self.n_decay = sum(p.size for (_, p), skip in zip(named_params, exempt) if not skip)
+        self.data = np.empty(sum(p.size for _, p in named_params),
+                             dtype=named_params[0][1].dtype)
+        self.grad, self.m, self.v = (np.zeros_like(self.data) for _ in range(3))
         self.slots: list[tuple[Array, np.ndarray, np.ndarray, slice]] = []  # caller's order
+        free = [0, self.n_decay]  # next offset in the decayed and in the exempt region
+        for (_, p), skip in zip(named_params, exempt):
+            span = slice(free[skip], free[skip] + p.size)
+            free[skip] += p.size
+            self.slots.append((p, self.data[span].reshape(p.shape),
+                               self.grad[span].reshape(p.shape), span))
+        self.bind()
 
-    def bind(self, named_params: list[tuple[str, Array]]) -> None:
-        """Lay the parameters out on first use; later, copy back in any .data
-        or .grad rebound away from its view (a None gradient counts as zero)."""
-        if not self.slots:
-            exempt = [_decay_exempt(name) for name, _ in named_params]
-            self.n_decay = sum(p.size for (_, p), skip in zip(named_params, exempt) if not skip)
-            self.data = np.empty(sum(p.size for _, p in named_params),
-                                 dtype=named_params[0][1].dtype)
-            self.grad, self.m, self.v = (np.zeros_like(self.data) for _ in range(3))
-            free = [0, self.n_decay]  # next offset in the decayed and in the exempt region
-            for (_, p), skip in zip(named_params, exempt):
-                span = slice(free[skip], free[skip] + p.size)
-                free[skip] += p.size
-                self.slots.append((p, self.data[span].reshape(p.shape),
-                                   self.grad[span].reshape(p.shape), span))
-        elif [p for _, p in named_params] != [slot[0] for slot in self.slots]:
-            raise TrainingError("optimizer state is bound to other parameters")
+    def bind(self) -> None:
+        """Copy in any .data or .grad rebound away from its view (None counts as 0)."""
         for p, data, grad, _ in self.slots:
             if p.data is not data:
                 data[...] = p.data
@@ -179,20 +178,25 @@ def _decay_exempt(name: str) -> bool:
     return "bias" in leaf or "gain" in leaf or leaf.startswith("b_")
 
 
-def adamw_step(named_params: list[tuple[str, Array]], state: OptimizerState,
-               lr: float, weight_decay: float) -> None:
-    """Bias-corrected Adam update plus decoupled weight decay, in place, in a few
-    whole-buffer ops. Consumes and zeroes the gradients. Raises TrainingError on
-    a non-finite gradient, naming the first parameter that has one."""
-    state.bind(named_params)
+def adamw_step(state: OptimizerState, lr: float, weight_decay: float) -> float:
+    """One optimizer step, in place, in a few whole-buffer ops: clip the
+    gradients to global norm CLIP_NORM, then the bias-corrected Adam update
+    plus decoupled weight decay. Consumes and zeroes the gradients and returns
+    their norm before the clip. Raises TrainingError on a non-finite gradient,
+    naming the first parameter that has one, before anything moves."""
+    state.bind()
     state.step += 1
     t = state.step
+    g, m, v, data = state.grad, state.m, state.v, state.data
+    norm = np.sqrt(np.square(g, dtype=np.float64).sum())  # one sum, in layout order
+    if not np.isfinite(norm):  # a float64 gradient's squares can overflow
+        name = next((name for name, p in state.named if not np.all(np.isfinite(p.grad))), None)
+        raise TrainingError(f"non-finite gradient for '{name}' at optimizer step {t}" if name
+                            else f"gradient norm overflows at optimizer step {t}")
+    if norm > CLIP_NORM:  # a numpy float64 factor: float32 gradients scale in float64
+        g *= CLIP_NORM / norm
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    g, m, v, data = state.grad, state.m, state.v, state.data
-    if not np.all(np.isfinite(g)):
-        name = next(name for name, p in named_params if not np.all(np.isfinite(p.grad)))
-        raise TrainingError(f"non-finite gradient for '{name}' at optimizer step {t}")
     # in place, in the order of b1*m + (1-b1)*g, b2*v + (1-b2)*(g*g) and
     # data -= lr * ((m/bc1) / (sqrt(v/bc2) + eps)): multiplication commutes exactly
     m *= ADAM_BETA1
@@ -213,14 +217,6 @@ def adamw_step(named_params: list[tuple[str, Array]], state: OptimizerState,
         decayed = data[:state.n_decay]
         decayed -= np.multiply(decayed, lr * weight_decay, out=update[:state.n_decay])
     g[:] = 0
-
-
-def _clip_global_norm(named_params: list[tuple[str, Array]], state: OptimizerState,
-                      max_norm: float) -> float:
-    state.bind(named_params)
-    norm = np.sqrt(np.square(state.grad, dtype=np.float64).sum())
-    if norm > max_norm:
-        state.grad *= max_norm / norm
     return float(norm)
 
 
@@ -349,22 +345,26 @@ class TrainResult:
     wall_time_s: float
 
 
-def check_class_labels(train_set: list[Example], eval_set: list[Example]) -> None:
-    """Refuse a class label that is not an integer in [0, MAX_CLASSES), naming
-    its example by file and line when it was loaded from one."""
-    for i, ex in enumerate(train_set + eval_set):  # the classifier has max + 1 columns
+def check_labels(dataset: list[Example], name: str, loss: str) -> None:
+    """Refuse a ``name`` set that evaluate cannot score: for squared_error, one
+    of fewer than 2 examples (no Spearman correlation); otherwise a class label
+    not an integer in [0, MAX_CLASSES), named by file and line if it has them."""
+    if loss == "squared_error":
+        if len(dataset) < 2:
+            raise ValueError(f"the {name} set has size {len(dataset)}; a regression task "
+                             "needs at least 2 examples for its Spearman correlation")
+        return
+    for i, ex in enumerate(dataset):  # the classifier has max + 1 columns
         integer = isinstance(ex.label, (int, np.integer))
         if not integer or not 0 <= ex.label < MAX_CLASSES:
-            where = ex.source or (f"training example {i + 1}" if i < len(train_set)
-                                  else f"eval example {i - len(train_set) + 1}")
             fault = f"is outside [0, {MAX_CLASSES})" if integer else "is not an integer"
-            raise SchemaError(f"{where}: class label {ex.label} {fault}")
+            raise SchemaError(f"{ex.source or f'{name} example {i + 1}'}: "
+                              f"class label {ex.label} {fault}")
 
 
 def _infer_n_classes(cfg: TrainConfig, train_set, eval_set) -> int:
     if cfg.loss == "squared_error":
         return 1
-    check_class_labels(train_set, eval_set)
     return max(2, 1 + max(ex.label for ex in train_set + eval_set))
 
 
@@ -373,10 +373,13 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example]
     """Run the fine-tuning loop, in float32; deterministic given (cfg, data)."""
     if not train_set or not eval_set:
         raise TrainingError("train: datasets must be nonempty")
+    check_labels(train_set, "training", cfg.loss)
+    check_labels(eval_set, "eval", cfg.loss)
     # glibc mmaps a block this large; freeing it raises the mmap threshold to
-    # its size and the heap trim threshold to twice that, so each step's freed
-    # graph stays in the heap instead of being trimmed and faulted back in
-    np.empty(4 << 20, dtype=np.uint8)
+    # its size and the heap trim threshold to twice that (32 MiB), so each
+    # step's freed graph (about 8 MiB at T=48, B=16) stays in the heap instead
+    # of being trimmed and faulted back in
+    np.empty(16 << 20, dtype=np.uint8)
     started = time.perf_counter()
     n_classes = _infer_n_classes(cfg, train_set, eval_set)
     model = build_model(cfg, n_classes)
@@ -384,7 +387,7 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example]
     rng_dropout = np.random.default_rng([cfg.seed, 2])
 
     named = model.named_parameters()
-    opt = OptimizerState()
+    opt = OptimizerState(named)
     steps_per_epoch = ceil(len(train_set) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     global_step = 0
@@ -403,9 +406,7 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example]
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch + 1}, step {global_step + 1}")
                 ac.backward(loss)
-                _clip_global_norm(named, opt, CLIP_NORM)
-                lr = lr_at_step(global_step, total_steps, cfg)
-                adamw_step(named, opt, lr, cfg.weight_decay)
+                adamw_step(opt, lr_at_step(global_step, total_steps, cfg), cfg.weight_decay)
                 del loss  # frees this step's graph before the next forward builds one
                 global_step += 1
     # the loss check above runs before each update, so none sees the last one

@@ -244,7 +244,7 @@ def test_criterion_7_schedule_and_optimizer():
 
     p = Array(np.array([1.0]))
     p.grad = np.zeros(1)
-    adamw_step([("w", p)], OptimizerState(), lr=0.1, weight_decay=0.01)
+    adamw_step(OptimizerState([("w", p)]), lr=0.1, weight_decay=0.01)
     adam_ok = p.data[0] == 1.0 - 0.1 * 0.01 * 1.0 and abs(p.data[0] - 0.999) < 1e-15
 
     report(7, "lr schedule closed form and pure-decay AdamW example",

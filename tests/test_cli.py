@@ -50,6 +50,10 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+REGRESSION_SET_OF_ONE = ("the {} set has size 1; a regression task needs at least 2 "
+                         "examples for its Spearman correlation")
+
+
 class TestExitCodes:
     def test_missing_task_is_usage_error(self, tmp_path):
         assert run_cli("train", "--head", "baseline", "--seed", "1",
@@ -315,6 +319,19 @@ class TestExitCodes:
           "--size", "8", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["lowres", "--task", "pattern", "--head", "baseline", "--head", "mha",
           "--size", "8", "--size", "abc"], "--size must be an integer or 'full', got 'abc'"),
+        (["compare", "--task", "pairsim", "--train-size", "16", "--eval-size", "1",
+          "--head", "baseline", "--head", "mha:h=4", "--seed", "1", "--seed", "2"],
+         REGRESSION_SET_OF_ONE.format("eval")),
+        (["lowres", "--task", "pairsim", *SMALL, "--head", "baseline", "--head", "mha",
+          "--size", "8", "--size", "1"], REGRESSION_SET_OF_ONE.format("training")),
+        (["train", "--task", "pairsim", "--train-size", "16", "--eval-size", "1"],
+         REGRESSION_SET_OF_ONE.format("eval")),
+        (["train", "--task", "pairsim", "--train-size", "1", "--eval-size", "8"],
+         REGRESSION_SET_OF_ONE.format("training")),
+        (["train", "--task", "pattern", "--vocab-size", "8", "--seq-len", "2",
+          "--train-size", "50", "--eval-size", "20"],
+         "pattern_containment: cannot draw eval_size 20 sequences unlike train_size 50 at "
+         "vocab_size 8 and seq_len (2, 2): 100 draws for eval example 1 all repeated one"),
     ])
     def test_usage_error_names_its_cause(self, tmp_path, monkeypatch, capsys, argv,
                                          message):
@@ -514,6 +531,42 @@ class TestTrainCommand:
                      *TINY, "--head", "baseline", "--seed", "1", "--out", str(tmp_path))
         assert rc == 0
         assert set(json.loads(capsys.readouterr().out.strip())) == {"spearman"}
+
+    def test_eval_of_a_regressor_refuses_one_example(self, tmp_path, monkeypatch, capsys):
+        import clspool.cli as cli
+        assert run_cli("train", "--task", "pairsim", *TINY, "--head", "baseline",
+                       "--seed", "1", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **kw: pytest.fail("eval ran"))
+        rc = run_cli("eval", "--ckpt", str(tmp_path / "baseline__seed1.ckpt"),
+                     "--task", "pairsim", "--seq-len", "8", "--eval-size", "1")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {REGRESSION_SET_OF_ONE.format('eval')}\n"
+        assert not captured.out
+
+    def test_diverging_run_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # two steps: the first update sends the weights past float32's range,
+        # so the second step's loss is the first non-finite value
+        out = tmp_path / "out"
+        rc = run_cli("train", *DIVERGING, "--batch-size", "8", "--head", "baseline",
+                     "--out", str(out))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite loss at epoch 1, step 2\n"
+        assert not captured.out and not out.exists()
+
+    @pytest.mark.parametrize("command, heads", [("train", ["baseline"]),
+                                                ("compare", ["baseline", "mha:h=2"])])
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys, command, heads):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        rc = run_cli(command, "--task", "pattern", *TINY, "--train-size", "16",
+                     *[a for head in heads for a in ("--head", head)], "--seed", "1",
+                     "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno")
+        assert out.read_text() == "kept\n"
 
     def test_eval_of_a_regressor_takes_large_integer_targets(self, tmp_path, capsys):
         real = [{"tokens": [5, 6, i % 7], "label": i + 0.5} for i in range(8)]
@@ -716,6 +769,15 @@ class TestAblateAndLowres:
                     "24,maxcls:k=2,mcc,-0.08928571428571429,0.0,\n")
         assert (tmp_path / "lowres.csv").read_text() == expected
         assert capsys.readouterr().out == expected + "\n"
+
+    def test_lowres_of_a_regression_task_samples_real_labels(self, tmp_path):
+        rc = run_cli("lowres", "--task", "pairsim", *TINY,
+                     "--head", "baseline", "--head", "mha:h=2", "--seed", "1",
+                     "--size", "8", "--size", "full", "--out", str(tmp_path))
+        assert rc == 0
+        rows = list(csv.DictReader((tmp_path / "lowres.csv").read_text().splitlines()))
+        assert {(row["size"], row["metric"]) for row in rows} == {("8", "spearman"),
+                                                                  ("full", "spearman")}
 
     def test_lowres_csv_schema(self, tmp_path):
         rc = run_cli("lowres", "--task", "pattern", *TINY,

@@ -23,7 +23,7 @@ from clspool.data import (
     subsample,
     tokenize,
 )
-from clspool.training import check_class_labels
+from clspool.training import check_labels
 
 
 @pytest.fixture
@@ -140,7 +140,7 @@ class TestJsonl:
         examples = load_jsonl(path)
         assert [ex.label for ex in examples] == [0, -1]
         with pytest.raises(SchemaError, match="d.jsonl:2: class label -1"):
-            check_class_labels(examples, [])
+            check_labels(examples, "training", "cross_entropy")
 
     def test_label_beyond_float_range_loads_as_int(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -261,6 +261,16 @@ class TestGenerators:
         for ex in evalset:
             assert tuple(ex.token_ids) not in train_keys
 
+    def test_eval_set_that_must_repeat_a_sequence_is_refused(self):
+        # 6 fill ids, two tokens: 36 pattern sequences, 50 of them drawn for training
+        spec = SyntheticTaskSpec(kind="pattern_containment", vocab_size=8, seq_len=(2, 2),
+                                 train_size=50, eval_size=20)
+        with pytest.raises(ValueError) as err:
+            gen_synthetic(spec)
+        assert str(err.value) == (
+            "pattern_containment: cannot draw eval_size 20 sequences unlike train_size 50 "
+            "at vocab_size 8 and seq_len (2, 2): 100 draws for eval example 1 all repeated one")
+
     def test_infeasible_spec(self):
         with pytest.raises(ValueError):
             gen_synthetic(SyntheticTaskSpec(kind="pattern_containment",
@@ -321,6 +331,14 @@ class TestSubsample:
         a = subsample(ds, 20, seed=9)
         b = subsample(ds, 20, seed=9)
         assert a == b
+
+    def test_real_labels_are_sampled_unstratified(self):
+        ds = gen_synthetic(SyntheticTaskSpec(kind="pair_similarity", train_size=50,
+                                             eval_size=1, seed=4))[0]
+        out = subsample(ds, 20, seed=9)
+        ids = [id(ex) for ex in out]
+        assert len(set(ids)) == 20 and set(ids) <= {id(ex) for ex in ds}
+        assert out == subsample(ds, 20, seed=9)
 
 
 def test_example_requires_cls_prefix():

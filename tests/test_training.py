@@ -44,7 +44,6 @@ import clspool.training as training
 from clspool.training import (
     Model,
     _batch_loss,
-    _clip_global_norm,
     _decay_exempt,
     _eval_threads,
     _infer_n_classes,
@@ -109,13 +108,13 @@ class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         p = Array(np.array([1.0, -2.0]))
         p.grad = np.zeros(2)
-        adamw_step([("w", p)], OptimizerState(), lr=0.1, weight_decay=0.0)
+        adamw_step(OptimizerState([("w", p)]), lr=0.1, weight_decay=0.0)
         assert p.data.tolist() == [1.0, -2.0]
 
     def test_pure_decay_example(self):
         p = Array(np.array([1.0]))
         p.grad = np.zeros(1)
-        adamw_step([("w", p)], OptimizerState(), lr=0.1, weight_decay=0.01)
+        adamw_step(OptimizerState([("w", p)]), lr=0.1, weight_decay=0.01)
         assert p.data[0] == 1.0 - 0.1 * 0.01 * 1.0
         assert abs(p.data[0] - 0.999) < 1e-15
 
@@ -123,7 +122,7 @@ class TestAdamW:
         for g in (3.0, -0.25):
             p = Array(np.array([1.0]))
             p.grad = np.array([g])
-            adamw_step([("w", p)], OptimizerState(), lr=0.01, weight_decay=0.0)
+            adamw_step(OptimizerState([("w", p)]), lr=0.01, weight_decay=0.0)
             # bias correction makes the first update -lr * g / (|g| + eps')
             assert abs((1.0 - p.data[0]) - 0.01 * np.sign(g)) < 1e-6
 
@@ -132,7 +131,7 @@ class TestAdamW:
         params = [(n, Array(np.array([1.0]))) for n in names]
         for _, p in params:
             p.grad = np.zeros(1)
-        adamw_step(params, OptimizerState(), lr=0.1, weight_decay=0.5)
+        adamw_step(OptimizerState(params), lr=0.1, weight_decay=0.5)
         for _, p in params:
             assert p.data[0] == 1.0
 
@@ -140,7 +139,7 @@ class TestAdamW:
         p = Array(np.array([1.0]))
         p.grad = np.array([np.nan])
         with pytest.raises(TrainingError) as exc:
-            adamw_step([("w", p)], OptimizerState(), lr=0.1, weight_decay=0.0)
+            adamw_step(OptimizerState([("w", p)]), lr=0.1, weight_decay=0.0)
         assert "step 1" in str(exc.value)
 
 
@@ -156,7 +155,7 @@ class TestFlatOptimizer:
                         dropout=0.1, vocab=40)
         train_set, _ = small_task(train_size=96, eval_size=8)
         flat, ref = build_model(cfg, 2, dtype), build_model(cfg, 2, dtype)
-        state, ref_state = OptimizerState(), OptimizerStateOracle()
+        state, ref_state = OptimizerState(flat.named_parameters()), OptimizerStateOracle()
         rng_flat, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
         steps, norms = 12, []
         for step in range(steps):
@@ -167,8 +166,7 @@ class TestFlatOptimizer:
             adamw_step_oracle(ref.named_parameters(), ref_state, lr, cfg.weight_decay)
             backward(_batch_loss(flat, batch, "cross_entropy", 0.1, rng_flat))
             assert not flat.enc.tok_emb.grad[30:].any()
-            assert _clip_global_norm(flat.named_parameters(), state, CLIP_NORM) == norms[-1]
-            adamw_step(flat.named_parameters(), state, lr, cfg.weight_decay)
+            assert adamw_step(state, lr, cfg.weight_decay) == norms[-1]  # before the clip
         assert max(norms) > CLIP_NORM  # clipping fired
         for (name, p), (_, q) in zip(flat.named_parameters(), ref.named_parameters()):
             assert p.data.tobytes() == q.data.tobytes(), name
@@ -176,13 +174,14 @@ class TestFlatOptimizer:
     def test_clip_norm_is_one_sum_in_layout_order_on_random_gradients(self):
         cfg = TrainConfig(encoder=EncoderConfig(vocab_size=50),
                           head=parse_head_spec("normseq+mha"))
-        named, state = build_model(cfg, 2).named_parameters(), OptimizerState()
+        named = build_model(cfg, 2).named_parameters()
+        state = OptimizerState(named)
         rng = np.random.default_rng(9)
         for _ in range(20):
             for _, p in named:
                 p.grad = rng.normal(size=p.shape).astype(np.float32)
             want = clip_global_norm_oracle(named, math.inf)
-            assert _clip_global_norm(named, state, math.inf) == want
+            assert adamw_step(state, 1e-3, 0.01) == want
 
     HEADS = ("baseline", "maxcls:k=3", "mha:h=4", "maxseq+mha:k=3,h=4",
              "meanseq+mha:k=3,h=4", "normseq+mha:k=3,h=4")
@@ -194,12 +193,12 @@ class TestFlatOptimizer:
         for spec in self.HEADS:
             cfg = TrainConfig(encoder=EncoderConfig(vocab_size=50, d_model=d_model),
                               head=parse_head_spec(spec))
-            named, state = build_model(cfg, 3, dtype).named_parameters(), OptimizerState()
-            state.bind(named)
+            named = build_model(cfg, 3, dtype).named_parameters()
+            state = OptimizerState(named)
             for _ in range(4):
                 state.grad[:] = rng.normal(scale=rng.uniform(1e-3, 1e3), size=state.grad.size)
                 want = clip_global_norm_oracle(named, math.inf)
-                assert _clip_global_norm(named, state, math.inf) == want, spec
+                assert adamw_step(state, 1e-3, 0.01) == want, spec
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_clip_norm_is_within_two_ulp_of_the_exact_sum(self, dtype):
@@ -208,18 +207,16 @@ class TestFlatOptimizer:
         rng = np.random.default_rng(11)
         for spec in self.HEADS:
             cfg = TrainConfig(encoder=EncoderConfig(vocab_size=50), head=parse_head_spec(spec))
-            named, state = build_model(cfg, 3, dtype).named_parameters(), OptimizerState()
-            state.bind(named)
+            state = OptimizerState(build_model(cfg, 3, dtype).named_parameters())
             for _ in range(4):
                 state.grad[:] = rng.normal(scale=rng.uniform(1e-3, 1e3), size=state.grad.size)
                 exact = math.sqrt(math.fsum(np.square(state.grad, dtype=np.float64).tolist()))
-                norm = _clip_global_norm(named, state, math.inf)
+                norm = adamw_step(state, 1e-3, 0.01)
                 assert abs(norm - exact) <= 2 * math.ulp(exact), spec
 
     def test_layout_is_views_with_decayed_parameters_first(self):
         named = build_model(small_cfg(head=parse_head_spec("mha:h=2")), 2).named_parameters()
-        state = OptimizerState()
-        state.bind(named)
+        state = OptimizerState(named)
         assert state.n_decay == sum(p.size for n, p in named if not _decay_exempt(n))
         assert state.data.size == sum(p.size for _, p in named)
         for (name, p), (q, _, _, span) in zip(named, state.slots):
@@ -230,49 +227,53 @@ class TestFlatOptimizer:
 
     def test_nonfinite_grad_in_third_parameter_is_named(self):
         named = [(name, Array(np.ones(2))) for name in ("a.w", "b.w", "c.w", "d.bias")]
-        state = OptimizerState()
         for _, p in named:
             p.grad = np.ones(2)
-        adamw_step(named, state, lr=0.1, weight_decay=0.01)
+        state = OptimizerState(named)
+        adamw_step(state, lr=0.1, weight_decay=0.01)
         for _, p in named:
             p.grad[:] = 1.0
         named[2][1].grad[1] = np.inf
         before = state.data.copy()
+        grads = state.grad.copy()
         with pytest.raises(TrainingError, match=r"'c\.w' at optimizer step 2"):
-            adamw_step(named, state, lr=0.1, weight_decay=0.01)
+            adamw_step(state, lr=0.1, weight_decay=0.01)
         assert state.data.tobytes() == before.tobytes()  # no parameter moved
+        assert state.grad.tobytes() == grads.tobytes()  # nor was any gradient clipped
+
+    def test_float64_gradient_norm_overflow_is_refused(self):
+        p = Array(np.ones(2))
+        p.grad = np.full(2, 1e200)  # finite, but its square is not
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError, match="gradient norm overflows at optimizer step 1"):
+            adamw_step(OptimizerState([("w", p)]), lr=0.1, weight_decay=0.0)
+        assert p.data.tolist() == [1.0, 1.0]
 
     def test_rebound_gradient_is_copied_in(self):
         # zero_grad() then backward leaves .grad a fresh array, not the view
         cfg = small_cfg()
         batch = small_task(train_size=16, eval_size=8)[0][:8]
         models = build_model(cfg, 2), build_model(cfg, 2)
-        states = OptimizerState(), OptimizerState()
+        states = [OptimizerState(model.named_parameters()) for model in models]
         for step in range(3):
             for model, state in zip(models, states):
                 if step > 0 and model is models[0]:
                     for _, p in model.named_parameters():
                         p.zero_grad()
                 backward(_batch_loss(model, batch, "cross_entropy"))
-                adamw_step(model.named_parameters(), state, 1e-3, 0.01)
+                adamw_step(state, 1e-3, 0.01)
         for (name, p), (_, q) in zip(*(m.named_parameters() for m in models)):
             assert p.data.tobytes() == q.data.tobytes(), name
             assert np.shares_memory(p.grad, states[0].grad), name
 
     def test_rebound_data_is_copied_in(self):
         p = Array(np.array([1.0, 2.0]))
-        state = OptimizerState()
-        adamw_step([("w", p)], state, lr=0.1, weight_decay=0.0)
+        state = OptimizerState([("w", p)])
+        adamw_step(state, lr=0.1, weight_decay=0.0)
         p.data = np.array([5.0, 6.0])
-        adamw_step([("w", p)], state, lr=0.1, weight_decay=0.0)
+        adamw_step(state, lr=0.1, weight_decay=0.0)
         assert np.shares_memory(p.data, state.data)
         assert state.data.tolist() == [5.0, 6.0]  # zero gradient: the new values stay
-
-    def test_state_refuses_other_parameters(self):
-        state = OptimizerState()
-        adamw_step([("w", Array(np.ones(1)))], state, lr=0.1, weight_decay=0.0)
-        with pytest.raises(TrainingError, match="other parameters"):
-            adamw_step([("w", Array(np.ones(1)))], state, lr=0.1, weight_decay=0.0)
 
 
 class TestClassLabelBound:
@@ -291,6 +292,17 @@ class TestClassLabelBound:
         with pytest.raises(SchemaError) as err:
             train(small_cfg(epochs=1), examples, examples)
         assert str(err.value) == "training example 1: class label 0.5 is not an integer"
+
+    @pytest.mark.parametrize("sizes, name", [((1, 8), "training"), ((8, 1), "eval")])
+    def test_regression_set_below_two_is_refused_before_the_first_step(self, monkeypatch,
+                                                                       sizes, name):
+        monkeypatch.setattr(training, "adamw_step", lambda *a: pytest.fail("a step ran"))
+        examples = [Example(token_ids=[1, 5 + i], label=i / 8) for i in range(8)]
+        with pytest.raises(ValueError) as err:
+            train(replace(small_cfg(epochs=1), loss="squared_error"), examples[:sizes[0]],
+                  examples[:sizes[1]])
+        assert str(err.value) == (f"the {name} set has size 1; a regression task needs "
+                                  "at least 2 examples for its Spearman correlation")
 
     def test_label_below_bound_sizes_the_classifier(self):
         top = Example(token_ids=[1, 5], label=MAX_CLASSES - 1)
@@ -408,13 +420,13 @@ class TestTrainLoop:
 
             start = batch_loss()
             named = model.named_parameters()
-            opt = OptimizerState()
+            opt = OptimizerState(named)
             rng = np.random.default_rng([seed, 2])
             for step in range(10):
                 loss = _batch_loss(model, fixed_batch, "cross_entropy",
                                    dropout_p=0.0, rng=rng)
                 backward(loss)
-                adamw_step(named, opt, lr_at_step(step, 100, cfg), cfg.weight_decay)
+                adamw_step(opt, lr_at_step(step, 100, cfg), cfg.weight_decay)
             if batch_loss() <= start:
                 wins += 1
         assert wins >= 8
@@ -546,6 +558,12 @@ def _flat_classifier(model, cfg, path):
     save_checkpoint(path, model, cfg)
 
 
+def _no_classes(model, cfg, path):  # a config that parses but builds no model
+    model.head.w_cls.data = model.head.w_cls.data[:, :0]
+    model.head.b_cls.data = model.head.b_cls.data[:0]
+    save_checkpoint(path, model, cfg)
+
+
 def _other_head(model, cfg, path):
     save_checkpoint(path, model, replace(cfg, head=HeadKind("baseline")))
 
@@ -558,6 +576,7 @@ def _other_vocab_size(model, cfg, path):
     (_short_file, "truncated checkpoint file"),
     (_trailing_byte, "format error: trailing bytes after parameters"),
     (_flat_classifier, "format error: no two-axis 'head.w_cls' tensor"),
+    (_no_classes, "format error: xavier_uniform_init: extents must be positive"),
     (_other_head, "format error: parameter names do not match config"),
     (_other_vocab_size, "format error: shape mismatch for 'tok_emb'"),
 ])
