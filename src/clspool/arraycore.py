@@ -7,7 +7,7 @@ topologically ordered :class:`Tape` and accumulates gradients into the leaves.
 
 Shapes follow the row-major convention throughout. Ops that the model uses in
 batched form (matmul, attention, layer_norm, ...) accept extra leading axes; the
-layer axis of a pooled stack is always axis 0.
+layer pools take the layers as a list, which stands for their axis 0.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "add",
     "add_vec",
     "slice_rows",
-    "stack_axis0",
     "max_over_axis0",
     "mean_over_axis0",
     "select_max_norm_axis0",
@@ -99,7 +98,7 @@ class Node:
     reaches from its root has a gradient. It never writes into its incoming
     gradient: backward stores a gradient it is handed without copying it, and
     one buffer can reach several inputs (``add`` returns it twice,
-    ``stack_axis0`` returns views of it).
+    ``mean_over_axis0`` returns one buffer for every layer).
     """
 
     __slots__ = ("op", "inputs", "bwd", "dtype", "grad")
@@ -284,36 +283,27 @@ def slice_rows(x: Array, start: int, stop: int) -> Array:
     return _make("slice_rows", out, (x,), bwd)
 
 
-def stack_axis0(parts: Sequence[Array]) -> Array:
-    if not parts:
-        raise ShapeError("stack_axis0: empty input list")
-    for p in parts:
-        if p.shape != parts[0].shape:
-            raise ShapeError(f"stack_axis0: shape mismatch {p.shape} vs {parts[0].shape}")
-    out = np.stack([p.data for p in parts], axis=0)
-    # part i's gradient is the view g[i]
-    return _make("stack_axis0", out, tuple(parts), lambda g: tuple(g))
-
-
 # ---------------------------------------------------------------------------
 # nonlinear ops
 # ---------------------------------------------------------------------------
 
-def _flat_rows(layer: np.ndarray) -> np.ndarray:
-    """Row numbers of (layer[j], j) in a (k, n, ...) stack viewed as (k * n, ...)."""
-    n = layer.shape[0]
-    return layer * n + np.arange(n)
+def _layer_data(op: str, layers: Sequence[Array]) -> list[np.ndarray]:
+    """The data of the layers a pool reads in place: a nonempty list, one shape."""
+    if not layers:
+        raise ShapeError(f"{op}: empty layer list")
+    for x in layers:
+        if x.shape != layers[0].shape:
+            raise ShapeError(f"{op}: layer shape mismatch {x.shape} vs {layers[0].shape}")
+    return [x.data for x in layers]
 
 
-def max_over_axis0(theta: Array) -> Array:
-    """Element-wise max over the layer axis (axis 0).
+def max_over_axis0(layers: Sequence[Array]) -> Array:
+    """Element-wise max over the layers.
 
     Ties break toward the lowest layer index; the backward pass routes the
     incoming gradient solely to the argmax element (subgradient convention).
     """
-    if theta.ndim < 1 or theta.shape[0] < 1:
-        raise ShapeError(f"max_over_axis0: need a nonempty axis 0, got {theta.shape}")
-    t = theta.data
+    t = _layer_data("max_over_axis0", layers)
     out = t[0].copy()
     for layer in t[1:]:  # np.maximum returns its second operand on a tie, here the lower layer's
         np.maximum(layer, out, out=out)
@@ -321,60 +311,63 @@ def max_over_axis0(theta: Array) -> Array:
     def bwd(g):
         # the first layer that holds the max (or a NaN, which only a NaN max
         # can come from), found deepest first in integer arithmetic
-        idx = np.full(out.shape, len(t) - 1, dtype=np.intp)
+        route = np.full(out.shape, len(t) - 1, dtype=np.intp)
         for i in range(len(t) - 2, -1, -1):
             hit = t[i] == out
             hit |= np.isnan(t[i])
-            idx -= hit * (idx - i)
-        gt = np.zeros_like(t)
-        gt.reshape(-1)[_flat_rows(idx.reshape(-1))] = g.reshape(-1)
-        return (gt,)
+            route -= hit * (route - i)
+        return tuple(np.where(route == i, g, 0) for i in range(len(t)))
 
-    return _make("max_over_axis0", out, (theta,), bwd)
+    return _make("max_over_axis0", out, tuple(layers), bwd)
 
 
-def mean_over_axis0(theta: Array) -> Array:
-    """Arithmetic mean over the layer axis; backward spreads grad/k uniformly."""
-    if theta.ndim < 1 or theta.shape[0] < 1:
-        raise ShapeError(f"mean_over_axis0: need a nonempty axis 0, got {theta.shape}")
-    k, shape = theta.shape[0], theta.shape
-    out = theta.data.mean(axis=0)
+def mean_over_axis0(layers: Sequence[Array]) -> Array:
+    """Arithmetic mean over the layers; backward hands every layer one grad/k
+    buffer.
 
-    def bwd(g):
-        return (np.broadcast_to(g / k, shape).copy(),)
+    As numpy's mean over a stacked axis 0 does, the sum starts from +0.0 (so
+    layers that are all -0.0 at a position mean to +0.0), adds the layers in
+    order and is divided by k.
+    """
+    t = _layer_data("mean_over_axis0", layers)
+    k = len(t)
+    out = np.zeros_like(t[0])
+    for layer in t:
+        out += layer
+    out /= k
+    return _make("mean_over_axis0", out, tuple(layers), lambda g: (g / k,) * k)
 
-    return _make("mean_over_axis0", out, (theta,), bwd)
 
+def select_max_norm_axis0(layers: Sequence[Array]) -> Array:
+    """Per position, keep the layer vector with the largest L2 norm.
 
-def select_max_norm_axis0(theta: Array) -> Array:
-    """Per position, keep the axis-0 slice whose vector has the largest L2 norm.
-
-    theta is (k, ..., d); for each (...) position the full d-vector of the
+    Each layer is (..., d); for each (...) position the full d-vector of the
     winning layer is copied through. Ties break toward the highest index
     (deepest layer), and a NaN norm beats any number. Backward routes the
     gradient to the selected vectors.
     """
-    if theta.ndim < 2 or theta.shape[0] < 1:
-        raise ShapeError(f"select_max_norm_axis0: need shape (k, ..., d), got {theta.shape}")
-    k, d = theta.shape[0], theta.shape[-1]
-    norms = np.sqrt((theta.data ** 2).sum(axis=-1)).reshape(k, -1)  # (k, positions)
-    idx = np.full(norms.shape[1], k - 1, dtype=np.intp)
+    t = _layer_data("select_max_norm_axis0", layers)
+    if t[0].ndim < 1:
+        raise ShapeError(f"select_max_norm_axis0: need layers of shape (..., d), "
+                         f"got {t[0].shape}")
+    k = len(t)
+    norms = [np.sqrt((layer ** 2).sum(axis=-1)) for layer in t]
+    route = np.full(np.shape(norms[0]), k - 1, dtype=np.intp)
     best = norms[k - 1]
     for i in range(k - 2, -1, -1):  # a shallower layer wins only by a strictly larger norm
         better = ~(norms[i] <= best)  # or by a NaN over a number: both count as larger here
         better &= best == best  # a NaN best is never beaten
-        idx -= better * (idx - i)
+        route -= better * (route - i)
         best = np.maximum(norms[i], best)
-    rows = _flat_rows(idx)
-    out = np.take(theta.data.reshape(-1, d), rows, axis=0).reshape(theta.shape[1:])
-    shape, dtype = theta.shape, theta.dtype
+    route = route[..., None]
+    out = np.empty_like(t[0])
+    for i, layer in enumerate(t):
+        np.copyto(out, layer, where=route == i)
 
     def bwd(g):
-        gt = np.zeros(shape, dtype)
-        gt.reshape(-1, d)[rows] = g.reshape(-1, d)
-        return (gt,)
+        return tuple(np.where(route == i, g, 0) for i in range(k))
 
-    return _make("select_max_norm_axis0", out, (theta,), bwd)
+    return _make("select_max_norm_axis0", out, tuple(layers), bwd)
 
 
 def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
@@ -535,8 +528,7 @@ def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int) ->
     if m.shape != k.shape[:-1]:
         raise ShapeError(f"attention: mask {m.shape} does not match keys {k.shape[:-1]}")
     c = 1.0 / math.sqrt(d // num_heads)  # a Python float: float32 data stays float32
-    saved = q.data, k.data, v.data
-    qh, kh, vh = (_split_heads(x, num_heads) for x in saved)
+    qh, kh, vh = (_split_heads(x.data, num_heads) for x in (q, k, v))
     p = qh @ np.swapaxes(kh, -1, -2)  # scores, then softmax in place: same order, same bits
     p *= c
     if not m.all():  # with no key masked the penalty is -0.0, and adding it changes no bit
@@ -545,9 +537,7 @@ def attention(q: Array, k: Array, v: Array, mask: np.ndarray, num_heads: int) ->
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
-    def bwd(g):
-        # split again rather than kept: q, k and v are saved anyway
-        qh, kh, vh = (_split_heads(x, num_heads) for x in saved)
+    def bwd(g):  # over the splits the forward made, which stand in for q, k and v
         gh = _split_heads(g, num_heads)
         dp = gh @ np.swapaxes(vh, -1, -2)
         ds = dp  # p * (dp - rowsum(dp * p)) * c, in place and in that order

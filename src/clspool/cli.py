@@ -244,6 +244,10 @@ def _plan(exp: ExperimentConfig, heads: list[str],
     and seed, in head-then-seed order."""
     if exp.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {exp.jobs}")
+    out = Path(exp.out)
+    taken = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if taken is not None:
+        raise CliError(f"--out {exp.out}: {taken} is not a directory")
     _check_seq_len(exp, "--max-seq-len")
     kinds = [parse_head_spec(spec) for spec in heads]
     for given in ([f"head '{kind.spec()}'" for kind in kinds],

@@ -15,7 +15,7 @@ B x T x d. A single sequence is a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -104,10 +104,8 @@ class EncoderParams:
         yield "tok_emb", self.tok_emb
         yield "pos_emb", self.pos_emb
         for i, layer in enumerate(self.layers):
-            for name in ("wq", "wk", "wv", "wo", "ln1_gain", "ln1_bias",
-                         "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-                         "ln2_gain", "ln2_bias"):
-                yield f"layer{i}.{name}", getattr(layer, name)
+            for f in fields(EncoderLayerParams):
+                yield f"layer{i}.{f.name}", getattr(layer, f.name)
 
 
 @dataclass

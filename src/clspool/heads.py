@@ -15,11 +15,10 @@ over the pooled sequence, and classifies. Six kinds are supported:
 * ``normseq+mha``   - same, but per position keep the layer vector with the
                       largest L2 norm instead of the element-wise max
 
-Every pool works position by position, so pooling the [CLS] rows alone gives
-the [CLS] row of the pooled sequence: a kind that does not attend slices that
-row from the stacked layers before it pools, and a kind that attends pools
-every row and slices after. Every head ends in a plain linear classifier (no
-activation). The extra attention layer is the encoder's own attention block
+Every pool reads the layers in place and pools every row, so the [CLS] row of
+the pooled sequence is what pooling the [CLS] rows alone would give; every kind
+slices that row after it pools. Every head ends in a plain linear classifier
+(no activation). The extra attention layer is the encoder's own attention block
 (``encoder.attention_block``) over the head's projections, and nothing more:
 no residual, layer norm, bias or feed-forward, so the comparison between kinds
 stays clean.
@@ -205,14 +204,11 @@ def aggregate(kind: HeadKind, stack: LayerStack, params: HeadParams) -> Array:
     recipe = _RECIPES[kind.kind]
     if recipe.pool is None:
         rows = stack.activations[-1]
+    elif 1 <= kind.k <= stack.num_layers:
+        rows = getattr(ac, recipe.pool)(stack.activations[-kind.k:])
     else:
-        if not 1 <= kind.k <= stack.num_layers:
-            raise SliceError(f"head '{kind.spec()}': k={kind.k} out of range "
-                             f"[1, {stack.num_layers}]")
-        stacked = ac.stack_axis0(stack.activations[-kind.k:])
-        if not recipe.attends:  # only the [CLS] row is kept: pool that row alone
-            return getattr(ac, recipe.pool)(ac.slice_rows(stacked, 0, 1))
-        rows = getattr(ac, recipe.pool)(stacked)
+        raise SliceError(f"head '{kind.spec()}': k={kind.k} out of range "
+                         f"[1, {stack.num_layers}]")
     cls = ac.slice_rows(rows, 0, 1)
     if recipe.attends:
         return cls_attend(cls, rows, params, stack.mask, kind.num_heads)

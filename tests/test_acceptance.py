@@ -136,6 +136,11 @@ def test_criterion_2_identity_collapses():
     report(2, "k=1 identity collapses, bitwise on 100 random stacks", ok)
 
 
+def layers(theta):
+    """The layers of a (k, ...) array as the list of leaves a pool takes."""
+    return [Array(layer.copy()) for layer in theta]
+
+
 def test_criterion_3_pooling_property_suite():
     rng = np.random.default_rng(303)
     ok = True
@@ -144,16 +149,16 @@ def test_criterion_3_pooling_property_suite():
         t = int(rng.integers(1, 4))
         d = int(rng.integers(1, 5))
         theta = rng.normal(size=(k, t, d))
-        pooled = ac.max_over_axis0(Array(theta.copy())).data
-        meaned = ac.mean_over_axis0(Array(theta.copy())).data
+        pooled = ac.max_over_axis0(layers(theta)).data
+        meaned = ac.mean_over_axis0(layers(theta)).data
 
         perm = rng.permutation(k)
-        ok &= np.array_equal(ac.max_over_axis0(Array(theta[perm].copy())).data, pooled)
+        ok &= np.array_equal(ac.max_over_axis0(layers(theta[perm])).data, pooled)
         ok &= all(np.all(pooled >= theta[l]) for l in range(k))
         dup = np.concatenate([theta, theta], axis=0)
-        ok &= np.array_equal(ac.max_over_axis0(Array(dup)).data, pooled)
+        ok &= np.array_equal(ac.max_over_axis0(layers(dup)).data, pooled)
         c = float(rng.uniform(0.1, 10.0))
-        ok &= np.array_equal(ac.max_over_axis0(Array(c * theta)).data, c * pooled)
+        ok &= np.array_equal(ac.max_over_axis0(layers(c * theta)).data, c * pooled)
 
         # scalar-loop oracles
         for i in range(t):

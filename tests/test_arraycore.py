@@ -165,55 +165,60 @@ class TestSoftmax:
             assert np.all(np.abs(s - 1.0) < 1e-12)
 
 
+def layers(theta):
+    """float64 leaves over the layers of a (k, ...) nest, the list a pool takes."""
+    return [array(layer) for layer in theta]
+
+
 class TestMaxOverAxis0:
     def test_k1_identity(self):
-        theta = array([[[1.0, 2.0], [3.0, 4.0]]])
+        theta = layers([[[1.0, 2.0], [3.0, 4.0]]])
         assert ac.max_over_axis0(theta).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_against_loop_oracle(self):
         nest = [[[1.0, 5.0], [0.0, -1.0]], [[3.0, 2.0], [0.0, 7.0]]]
-        got = ac.max_over_axis0(array(nest)).data
+        got = ac.max_over_axis0(layers(nest)).data
         assert got.tolist() == pool_oracle(nest, "max")
         assert got.tolist() == [[3.0, 5.0], [0.0, 7.0]]
 
     def test_tie_routes_to_lowest_layer(self):
-        x = np.arange(6.0).reshape(1, 2, 3)
-        theta = array(np.concatenate([x, x], axis=0))
+        x = np.arange(6.0).reshape(2, 3)
+        theta = layers([x, x])
         out = ac.max_over_axis0(theta)
-        assert np.array_equal(out.data, x[0])
+        assert np.array_equal(out.data, x)
         backward(out, seed=np.ones((2, 3)))
         # the whole gradient lands on layer 0
-        assert np.all(theta.grad[0] == 1.0)
-        assert np.all(theta.grad[1] == 0.0)
+        assert np.all(theta[0].grad == 1.0)
+        assert np.all(theta[1].grad == 0.0)
 
     def test_permutation_invariance_and_dominance(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             theta = rng.normal(size=(4, 3, 5))
-            base = ac.max_over_axis0(array(theta)).data
+            base = ac.max_over_axis0(layers(theta)).data
             perm = rng.permutation(4)
-            assert np.array_equal(ac.max_over_axis0(array(theta[perm])).data, base)
+            assert np.array_equal(ac.max_over_axis0(layers(theta[perm])).data, base)
             for layer in theta:
                 assert np.all(base >= layer)
             assert np.all((base[None] == theta).any(axis=0))
 
     def test_idempotent_on_duplicates(self):
         x = np.random.default_rng(3).normal(size=(2, 4))
-        out = ac.max_over_axis0(array(np.stack([x, x])))
+        out = ac.max_over_axis0(layers([x, x]))
         assert np.array_equal(out.data, x)
 
 
 class TestMeanOverAxis0:
     def test_k1_identity(self):
-        theta = array([[[1.0, 2.0]]])
+        theta = layers([[[1.0, 2.0]]])
         assert ac.mean_over_axis0(theta).data.tolist() == [[1.0, 2.0]]
 
     def test_midpoint(self):
-        assert ac.mean_over_axis0(array([[[2.0]], [[4.0]]])).data.tolist() == [[3.0]]
+        assert ac.mean_over_axis0(layers([[[2.0]], [[4.0]]])).data.tolist() == [[3.0]]
 
     def test_against_loop_oracle(self):
         nest = [[[1.0, 5.0]], [[3.0, 1.0]]]
-        got = ac.mean_over_axis0(array(nest)).data
+        got = ac.mean_over_axis0(layers(nest)).data
         assert got.tolist() == pool_oracle(nest, "mean")
         assert got.tolist() == [[2.0, 3.0]]
 
@@ -222,33 +227,47 @@ class TestMeanOverAxis0:
         for _ in range(20):
             theta = rng.normal(size=(3, 2, 4))
             c = float(rng.uniform(0.1, 5.0))
-            lhs = ac.mean_over_axis0(array(c * theta)).data
-            rhs = c * ac.mean_over_axis0(array(theta)).data
+            lhs = ac.mean_over_axis0(layers(c * theta)).data
+            rhs = c * ac.mean_over_axis0(layers(theta)).data
             assert np.allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_numpy_mean_over_the_stacked_layers(self, dtype):
+        rng = np.random.default_rng(6)
+        for k in (1, 2, 3, 4):
+            theta = rng.normal(size=(k, 3, 5, 8)).astype(dtype)
+            theta[:, :, 0] = -0.0  # numpy's sum starts from +0.0: these mean to +0.0
+            theta[k - 1, :, 1] = -theta[0, :, 1]
+            got = ac.mean_over_axis0([Array(layer) for layer in theta]).data
+            assert got.tobytes() == theta.mean(axis=0).tobytes(), k
 
 
 class TestSelectMaxNorm:
     def test_selects_larger_norm(self):
-        theta = array([[[3.0, 4.0]], [[1.0, 0.0]]])  # norms 5 vs 1
+        theta = layers([[[3.0, 4.0]], [[1.0, 0.0]]])  # norms 5 vs 1
         assert ac.select_max_norm_axis0(theta).data.tolist() == [[3.0, 4.0]]
 
     def test_tie_prefers_deepest(self):
         v = [[1.0, 2.0]]
-        theta = array([v, [[2.0, 1.0]]])  # equal norms
+        theta = layers([v, [[2.0, 1.0]]])  # equal norms
         out = ac.select_max_norm_axis0(theta)
         assert out.data.tolist() == [[2.0, 1.0]]
         backward(out, seed=np.ones((1, 2)))
-        assert np.all(theta.grad[0] == 0.0)
-        assert np.all(theta.grad[1] == 1.0)
+        assert np.all(theta[0].grad == 0.0)
+        assert np.all(theta[1].grad == 1.0)
 
     def test_selected_norm_dominates(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             theta = rng.normal(size=(3, 4, 6))
-            out = ac.select_max_norm_axis0(array(theta)).data
+            out = ac.select_max_norm_axis0(layers(theta)).data
             norms = np.sqrt((theta ** 2).sum(-1))
             sel = np.sqrt((out ** 2).sum(-1))
             assert np.all(sel >= norms.max(axis=0) - 1e-12)
+
+    def test_refuses_layers_without_a_vector_axis(self):
+        with pytest.raises(ShapeError, match="need layers of shape"):
+            ac.select_max_norm_axis0([array(1.0), array(2.0)])
 
 
 class TestLayerNorm:
@@ -490,7 +509,7 @@ def _random_op_cases(rng):
     m = array(rng.normal(size=(d, t)))
     gain = array(rng.normal(size=d))
     bias = array(rng.normal(size=d))
-    theta = array(rng.normal(size=(k, t, d)))
+    theta = layers(rng.normal(size=(k, t, d)))
     row_mask = (rng.random(t) > 0.3).astype(float)
     ce_labels = rng.integers(0, d, size=t)
     se_targets = rng.normal(size=t * d)
@@ -514,10 +533,14 @@ def _random_op_cases(rng):
         wrap(lambda: ac.add_vec(x, v), [x, v]),
         wrap(lambda: ac.sum_all(x), [x]),
         wrap(lambda: ac.slice_rows(x, 0, max(1, t - 1)), [x]),
-        wrap(lambda: ac.stack_axis0([x, y]), [x, y]),
-        wrap(lambda: ac.max_over_axis0(theta), [theta]),
-        wrap(lambda: ac.mean_over_axis0(theta), [theta]),
-        wrap(lambda: ac.select_max_norm_axis0(theta), [theta]),
+    ]
+    # the weights a deleted (k=2, t, d) case drew here, so that every later case
+    # keeps the inputs it has always been checked on
+    rng.normal(size=(2 * t * d, 1))
+    cases += [
+        wrap(lambda: ac.max_over_axis0(theta), theta),
+        wrap(lambda: ac.mean_over_axis0(theta), theta),
+        wrap(lambda: ac.select_max_norm_axis0(theta), theta),
         wrap(lambda: ac.layer_norm(x, gain, bias), [x, gain, bias]),
         wrap(lambda: ac.gelu(x), [x]),
         wrap(lambda: ac.dropout(x, 0.3, np.random.default_rng(dropout_seed)), [x]),
@@ -595,7 +618,7 @@ def _one_call_per_op(rng):
     """op name -> a call of that op on small random float64 inputs."""
     x, y = array(rng.normal(size=(3, 4))), array(rng.normal(size=(3, 4)))
     w, v = array(rng.normal(size=(4, 4))), array(rng.normal(size=4))
-    theta = array(rng.normal(size=(2, 3, 4)))
+    theta = layers(rng.normal(size=(2, 3, 4)))
     keys = array(rng.normal(size=(2, 3, 4)))
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     return {
@@ -603,7 +626,6 @@ def _one_call_per_op(rng):
         "add": lambda: ac.add(x, y),
         "add_vec": lambda: ac.add_vec(x, v),
         "slice_rows": lambda: ac.slice_rows(x, 0, 2),
-        "stack_axis0": lambda: ac.stack_axis0([x, y]),
         "max_over_axis0": lambda: ac.max_over_axis0(theta),
         "mean_over_axis0": lambda: ac.mean_over_axis0(theta),
         "select_max_norm_axis0": lambda: ac.select_max_norm_axis0(theta),
@@ -766,6 +788,16 @@ class TestInPlaceKernels:
             assert leaf.data.tobytes() == x.tobytes()  # the input is never written
 
 
+@pytest.mark.parametrize("pool", ["max_over_axis0", "mean_over_axis0",
+                                  "select_max_norm_axis0"])
+def test_pools_refuse_no_layers_and_layers_of_two_shapes(pool):
+    op = getattr(ac, pool)
+    with pytest.raises(ShapeError, match="empty layer list"):
+        op([])
+    with pytest.raises(ShapeError, match=r"layer shape mismatch \(2, 4\) vs \(2, 3\)"):
+        op([array(np.ones((2, 3))), array(np.ones((2, 4)))])
+
+
 POOLS = {"max_over_axis0": (ac.max_over_axis0, max_over_axis0_oracle),
          "select_max_norm_axis0": (ac.select_max_norm_axis0, select_max_norm_axis0_oracle)}
 
@@ -804,8 +836,9 @@ def _pool_input(case, k, dtype, rng):
 
 class TestPoolsMatchArgmaxBitwise:
     """The layer pools find their winners without an argmax over axis 0; the
-    argmax, take_along_axis and put_along_axis expressions in tests/oracles.py
-    are the reference, forward and gradient, byte for byte."""
+    argmax, take_along_axis and put_along_axis expressions in tests/oracles.py,
+    over the layers stacked, are the reference, forward and gradient, byte for
+    byte."""
 
     @pytest.mark.parametrize("pool", sorted(POOLS))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -818,14 +851,30 @@ class TestPoolsMatchArgmaxBitwise:
             theta = _pool_input(case, k, dtype, rng)
             g = rng.normal(size=theta.shape[1:]).astype(dtype)
             want, want_grad = oracle(theta, g)
-            leaf = ac.Array(theta.copy())
-            out = op(leaf)
+            leaves = [ac.Array(layer.copy()) for layer in theta]
+            out = op(leaves)
             backward(out, seed=g)
             assert out.data.tobytes() == want.tobytes(), k
-            assert leaf.grad.tobytes() == want_grad.tobytes(), k
+            assert np.stack([x.grad for x in leaves]).tobytes() == want_grad.tobytes(), k
             with ac.no_grad():
-                assert op(leaf).data.tobytes() == want.tobytes(), k
-            assert leaf.data.tobytes() == theta.tobytes()
+                assert op(leaves).data.tobytes() == want.tobytes(), k
+            assert np.stack([x.data for x in leaves]).tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_layer_given_twice_adds_both_slots_into_one_leaf(self, pool, dtype):
+        op, oracle = POOLS[pool]
+        rng = np.random.default_rng(16)
+        for case in ("random", "ties", "signed-zeros", "nan-one-layer", "equal-norms"):
+            a, b = _pool_input(case, 2, dtype, rng)
+            g = rng.normal(size=a.shape).astype(dtype)
+            want, want_grad = oracle(np.stack([a, b, a]), g)
+            leaf_a, leaf_b = ac.Array(a.copy()), ac.Array(b.copy())
+            out = op([leaf_a, leaf_b, leaf_a])
+            backward(out, seed=g)
+            assert out.data.tobytes() == want.tobytes(), case
+            assert leaf_a.grad.tobytes() == (want_grad[0] + want_grad[2]).tobytes(), case
+            assert leaf_b.grad.tobytes() == want_grad[1].tobytes(), case
 
     def test_the_cases_hold_what_they_name(self):
         rng = np.random.default_rng(15)
@@ -853,11 +902,10 @@ def _aliasing_graphs():
     def score(a, l):  # a non-uniform functional, so every gradient element counts
         return ac.sum_all(ac.matmul(a, l["r"]))
 
-    def stacked(l):  # add hands both stacks one buffer; each stack returns two views of it
+    def pooled(l):  # add hands both means one buffer; each mean returns one buffer thrice
         h, k = ac.gelu(ac.matmul(l["x"], l["w"])), ac.gelu(l["y"])
         ln = ac.layer_norm(h, l["gain"], l["bias"])
-        both = ac.add(ac.stack_axis0([h, h, ln]), ac.stack_axis0([k, k, k]))
-        return score(ac.mean_over_axis0(both), l)
+        return score(ac.add(ac.mean_over_axis0([h, h, ln]), ac.mean_over_axis0([k, k, k])), l)
 
     def shared_buffer(a, b):  # the outer add gives a the buffer the inner add then hands to b
         return ac.add(ac.add(a, b), a)
@@ -879,7 +927,7 @@ def _aliasing_graphs():
         "add-of-an-op-output-to-itself": self_add,
         "diamond": diamond,
         "three-way-fan-out": three_way_fan_out,
-        "stack-of-one-array-twice": stacked,
+        "mean-of-one-array-twice": pooled,
         "leaves-sharing-a-buffer": lambda l: score(shared_buffer(l["x"], l["y"]), l),
         "op-outputs-sharing-a-buffer": lambda l: score(
             shared_buffer(ac.gelu(l["x"]), ac.gelu(l["y"])), l),

@@ -556,17 +556,25 @@ class TestTrainCommand:
         assert captured.err == "error: non-finite loss at epoch 1, step 2\n"
         assert not captured.out and not out.exists()
 
-    @pytest.mark.parametrize("command, heads", [("train", ["baseline"]),
-                                                ("compare", ["baseline", "mha:h=2"])])
-    def test_out_naming_a_file_exits_1(self, tmp_path, capsys, command, heads):
-        out = tmp_path / "taken"
-        out.write_text("kept\n")
-        rc = run_cli(command, "--task", "pattern", *TINY, "--train-size", "16",
-                     *[a for head in heads for a in ("--head", head)], "--seed", "1",
+    @pytest.mark.parametrize("argv", [["train"], ["compare", "--head", "mha:h=2"],
+                                      ["ablate-k", "--head", "maxseq+mha:h=2"],
+                                      ["lowres", "--head", "mha:h=2", "--size", "8"]])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_is_or_lies_under_a_file_exits_2_before_any_data(
+            self, tmp_path, monkeypatch, capsys, argv, under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if under else taken
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "_load_datasets",
+                            lambda *a, **kw: pytest.fail("data was loaded"))
+        head = [] if argv[0] == "ablate-k" else ["--head", "baseline"]
+        rc = run_cli(*argv, *head, "--task", "pattern", *TINY, "--seed", "1",
                      "--out", str(out))
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: [Errno")
-        assert out.read_text() == "kept\n"
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+        assert taken.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["taken"]
 
     def test_eval_of_a_regressor_takes_large_integer_targets(self, tmp_path, capsys):
         real = [{"tokens": [5, 6, i % 7], "label": i + 0.5} for i in range(8)]

@@ -41,8 +41,8 @@ def rep(spec, stack, params=NO_ATTENTION):
 
 
 def last_layers(stack, k):
-    """The (k, ..., T, d) stack of the last k layers, oldest first."""
-    return ac.stack_axis0(stack.activations[-k:])
+    """The last k layers, oldest first, as a pool takes them."""
+    return stack.activations[-k:]
 
 
 def mha_head_oracle(query, context, params, mask, h):
