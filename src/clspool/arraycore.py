@@ -29,7 +29,6 @@ __all__ = [
     "no_grad",
     "matmul",
     "add",
-    "add_vec",
     "slice_rows",
     "max_over_axis0",
     "mean_over_axis0",
@@ -248,22 +247,13 @@ def matmul(a: Array, b: Array) -> Array:
 
 
 def add(a: Array, b: Array) -> Array:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return _make("add", a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def add_vec(x: Array, v: Array) -> Array:
-    """Add a rank-1 vector along the last axis of x (bias add)."""
-    if v.ndim != 1 or v.shape[0] != x.shape[-1]:
-        raise ShapeError(f"add_vec: vector {v.shape} does not match last axis of {x.shape}")
-    out = x.data + v.data
-    d = v.shape[0]
-
-    def bwd(g):
-        return g, g.reshape(-1, d).sum(axis=0)
-
-    return _make("add_vec", out, (x, v), bwd)
+    """a + b, where b has a's shape or that of a's trailing axes: a (d,) bias,
+    or (T, d) position rows. b's gradient is summed over the axes it lacks."""
+    if b.ndim > a.ndim or a.shape[a.ndim - b.ndim:] != b.shape:
+        raise ShapeError(f"add: {b.shape} is not the shape of the trailing axes of {a.shape}")
+    shape, same = b.shape, b.ndim == a.ndim
+    return _make("add", a.data + b.data, (a, b),
+                 lambda g: (g, g if same else g.reshape(-1, *shape).sum(axis=0)))
 
 
 def slice_rows(x: Array, start: int, stop: int) -> Array:

@@ -10,7 +10,9 @@ Padded positions get an additive -1e9 attention score and are zeroed in each
 layer's output.
 
 Inputs are batches: a (B, T) array of padded id rows, so every activation is
-B x T x d. A single sequence is a batch of one.
+B x T x d. A single sequence is a batch of one. The input to the first layer is
+the token embeddings plus the first T rows of the position table, broadcast
+over the batch.
 """
 
 from __future__ import annotations
@@ -193,9 +195,8 @@ def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,
     if m.shape != (batch, seq):
         raise ValueError(f"encode: mask shape {m.shape} does not match ids {(batch, seq)}")
 
-    pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
     x = ac.dropout(ac.add(ac.embed_lookup(params.tok_emb, ids),
-                          ac.embed_lookup(params.pos_emb, pos_ids)), dropout_p, rng)
+                          ac.slice_rows(params.pos_emb, 0, seq)), dropout_p, rng)
 
     padded = not m.all()  # on an unpadded batch mask_rows would multiply by 1.0
     activations = []
@@ -203,10 +204,9 @@ def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,
         attn = ac.dropout(self_attention(x, layer, m, cfg.num_heads_encoder), dropout_p, rng)
         x = ac.layer_norm(ac.add(x, attn), layer.ln1_gain, layer.ln1_bias)
 
-        ff = ac.add_vec(ac.matmul(ac.gelu(ac.add_vec(ac.matmul(x, layer.w_ff1),
-                                                     layer.b_ff1)),
-                                  layer.w_ff2),
-                        layer.b_ff2)
+        ff = ac.add(ac.matmul(ac.gelu(ac.add(ac.matmul(x, layer.w_ff1), layer.b_ff1)),
+                              layer.w_ff2),
+                    layer.b_ff2)
         x = ac.layer_norm(ac.add(x, ac.dropout(ff, dropout_p, rng)),
                           layer.ln2_gain, layer.ln2_bias)
         if padded:

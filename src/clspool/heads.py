@@ -217,7 +217,7 @@ def aggregate(kind: HeadKind, stack: LayerStack, params: HeadParams) -> Array:
 
 def classify(rep: Array, w_cls: Array, b_cls: Array) -> Array:
     """Linear classification head; C = 1 covers regression tasks."""
-    return ac.add_vec(ac.matmul(rep, w_cls), b_cls)
+    return ac.add(ac.matmul(rep, w_cls), b_cls)
 
 
 def head_forward(kind: HeadKind, stack: LayerStack, params: HeadParams) -> Array:

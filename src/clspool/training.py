@@ -193,8 +193,8 @@ def adamw_step(state: OptimizerState, lr: float, weight_decay: float) -> float:
         name = next((name for name, p in state.named if not np.all(np.isfinite(p.grad))), None)
         raise TrainingError(f"non-finite gradient for '{name}' at optimizer step {t}" if name
                             else f"gradient norm overflows at optimizer step {t}")
-    if norm > CLIP_NORM:  # a numpy float64 factor: float32 gradients scale in float64
-        g *= CLIP_NORM / norm
+    if norm > CLIP_NORM:  # float32 gradients scale in float64 under any casting rules
+        np.multiply(g, CLIP_NORM / norm, out=g, dtype=np.float64)
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     # in place, in the order of b1*m + (1-b1)*g, b2*v + (1-b2)*(g*g) and

@@ -120,8 +120,8 @@ def clip_global_norm_oracle(named_params, max_norm):
     if norm > max_norm:
         scale = max_norm / norm
         for _, p in named_params:
-            if p.grad is not None:
-                p.grad *= scale
+            if p.grad is not None:  # scaled in float64, rounded once to the gradient's dtype
+                p.grad[...] = p.grad.astype(np.float64) * scale
     return float(norm)
 
 
@@ -236,6 +236,18 @@ def select_max_norm_axis0_oracle(theta, g):
     gt = np.zeros_like(theta)
     np.put_along_axis(gt, idx_full.copy(), g[None, ...], axis=0)
     return out, gt
+
+
+# encode's position embeddings as they were before they became the first T
+# rows of pos_emb added over the batch: a gather over broadcast position ids,
+# whose backward scatter-adds the incoming gradient into a zeroed table.
+
+def position_grad_oracle(table_shape, g):
+    """pos_emb's gradient for the gradient g (B, T, d) of the embedding sum."""
+    batch, seq = g.shape[:2]
+    gt = np.zeros(table_shape, g.dtype)
+    np.add.at(gt, np.broadcast_to(np.arange(seq), (batch, seq)), g)
+    return gt
 
 
 # Tape.run_backward as it was before backward freed each gradient once used:

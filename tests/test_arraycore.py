@@ -312,9 +312,13 @@ class TestSmallOps:
         assert np.all(np.abs(out - ref) <= 4 * np.spacing(np.abs(x)))
         assert out[x == 0.0].tolist() == [0.0]
 
-    def test_add_shape_error(self):
-        with pytest.raises(ShapeError):
-            ac.add(Array(np.zeros((2, 2))), Array(np.zeros((2, 3))))
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 2), (2, 3)), ((3, 4), (5,)),
+                                                  ((2, 3, 4), (4, 4)), ((4,), (3, 4))])
+    def test_add_shape_error(self, a_shape, b_shape):
+        # b must have a's shape or that of a's trailing axes
+        with pytest.raises(ShapeError) as exc:
+            ac.add(Array(np.zeros(a_shape)), Array(np.zeros(b_shape)))
+        assert str(a_shape) in str(exc.value) and str(b_shape) in str(exc.value)
 
     def test_mask_rows_zeroes_and_blocks_grad(self):
         x = array(np.ones((3, 2)))
@@ -530,7 +534,7 @@ def _random_op_cases(rng):
     cases = [
         wrap(lambda: ac.matmul(x, m), [x, m]),
         wrap(lambda: ac.add(x, y), [x, y]),
-        wrap(lambda: ac.add_vec(x, v), [x, v]),
+        wrap(lambda: ac.add(x, v), [x, v]),
         wrap(lambda: ac.sum_all(x), [x]),
         wrap(lambda: ac.slice_rows(x, 0, max(1, t - 1)), [x]),
     ]
@@ -552,6 +556,10 @@ def _random_op_cases(rng):
         wrap(lambda: ac.cross_entropy_mean(x, ce_labels), [x]),
         wrap(lambda: ac.squared_error_mean(x, se_targets), [x]),
     ]
+    # drawn after every other case's inputs and weights, which it leaves as they were
+    batch = array(rng.normal(size=(2, t, d)))
+    rows = array(rng.normal(size=(t, d)))
+    cases.append(wrap(lambda: ac.add(batch, rows), [batch, rows]))
     return cases
 
 
@@ -623,8 +631,7 @@ def _one_call_per_op(rng):
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     return {
         "matmul": lambda: ac.matmul(x, w),
-        "add": lambda: ac.add(x, y),
-        "add_vec": lambda: ac.add_vec(x, v),
+        "add": lambda: ac.add(ac.add(x, y), v),  # the same shape, then a trailing axis
         "slice_rows": lambda: ac.slice_rows(x, 0, 2),
         "max_over_axis0": lambda: ac.max_over_axis0(theta),
         "mean_over_axis0": lambda: ac.mean_over_axis0(theta),

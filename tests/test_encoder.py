@@ -11,6 +11,7 @@ from clspool.encoder import (
     self_attention,
 )
 from clspool.training import TrainConfig, build_model
+from oracles import position_grad_oracle
 
 
 def toy_params(vocab=12, n_layers=2, d=8, heads=2, t_max=8, seed=0, dtype=np.float64):
@@ -128,6 +129,35 @@ class TestUnpaddedPath:
                                rng=np.random.default_rng(6))
         loss = ac.cross_entropy_mean(logits, np.array([0, 1, 1, 0]))
         assert len(ac.Tape.trace(loss).nodes) == 72
+
+
+def test_position_gradient_matches_a_scatter_over_position_ids():
+    """pos_emb's gradient is the batch sum of the incoming gradient, written into
+    its first T rows. Added into a zeroed buffer, as the optimizer holds it, it
+    is the old scatter's bit for bit; read raw it is equal, as a coordinate that
+    is -0.0 in every sequence may sum to -0.0 where the scatter gave +0.0."""
+    params = toy_params(dtype=np.float32)
+    ids = np.array([[1, 4, 5, 6, 0, 0], [1, 7, 0, 0, 0, 0], [1, 8, 9, 10, 11, 3]])
+    mask = (ids != 0).astype(float)
+    stack = encode(params, ids, mask)
+    nodes = ac.Tape.trace(ac.sum_all(stack.activations[-1])).nodes
+    emb = next(n for n in nodes if n.op == "add")  # every later add depends on it
+    rng = np.random.default_rng(13)
+    g = rng.normal(size=(3, 6, 8)).astype(np.float32)
+    pads = mask == 0.0  # a masked layer hands its padded rows +-0.0
+    g[pads] = np.copysign(0.0, rng.normal(size=(pads.sum(), 8)))
+    g[:, -1, 0] = -0.0
+    root = Array(np.empty(g.shape, np.float32), node=emb)  # backward from the sum, seeded g
+
+    def pos_grad(preset):
+        params.pos_emb.grad = preset
+        ac.backward(root, seed=g)
+        return params.pos_emb.grad
+
+    want = position_grad_oracle(params.pos_emb.shape, g)
+    assert np.array_equal(pos_grad(None), want)
+    held = pos_grad(np.zeros_like(params.pos_emb.data))
+    assert held.tobytes() == (np.zeros_like(want) + want).tobytes()
 
 
 class TestSelfAttention:

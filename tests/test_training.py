@@ -924,7 +924,7 @@ class TestBackwardAtTheAcceptanceShape:
 
         monkeypatch.setattr(ac, "matmul", recording_matmul)
         loss = step()
-        # no backward reads x @ w_ff1 (add_vec needs only the bias length)
+        # no backward reads x @ w_ff1 (the bias add needs only the bias shape)
         assert len(ff1_outputs) == 4 and all(ref() is None for ref in ff1_outputs)
         for node in ac.Tape.trace(loss).nodes:
             assert all(type(inp) is ac.Node or (type(inp) is Array and inp.node is None)
