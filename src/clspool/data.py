@@ -116,68 +116,69 @@ def tokenize(text: str, vocab: Vocab, text_pair: str | None = None,
 
 
 def _example_from_record(record: dict, vocab: Vocab | None, max_len: int | None,
-                         line_no: int) -> tuple[Example, str]:
+                         where: str) -> tuple[Example, str]:
     if "label" not in record:
-        raise SchemaError(f"line {line_no}: missing label")
+        raise SchemaError(f"{where}: missing label")
     label = record["label"]
     # exact types: bool is an int subclass, not a label
     if type(label) is not int and not (type(label) is float and math.isfinite(label)):
-        raise SchemaError(f"line {line_no}: label must be a finite int or real")
+        raise SchemaError(f"{where}: label must be a finite int or real")
     if "tokens" in record:
         tokens = record["tokens"]
         if not isinstance(tokens, list) or not all(
                 type(t) is int and t >= 0 for t in tokens):
-            raise SchemaError(f"line {line_no}: tokens must be a nonnegative int array")
+            raise SchemaError(f"{where}: tokens must be a nonnegative int array")
         ids = [CLS_ID] + tokens
         if max_len is not None and len(ids) > max_len:
             ids = ids[:max_len]
         return Example(token_ids=ids, label=label), "tokens"
     if "text" in record:
         if vocab is None:
-            raise SchemaError(f"line {line_no}: text schema requires a vocabulary")
+            raise SchemaError(f"{where}: text schema requires a vocabulary")
         text, pair = record["text"], record.get("text_pair")
         if not isinstance(text, str) or not isinstance(pair, (str, type(None))):
-            raise SchemaError(f"line {line_no}: text and text_pair must be strings")
+            raise SchemaError(f"{where}: text and text_pair must be strings")
         ids = tokenize(text, vocab, pair, max_len)
         return Example(token_ids=ids, label=label), "text"
-    raise SchemaError(f"line {line_no}: need either 'tokens' or 'text'")
+    raise SchemaError(f"{where}: need either 'tokens' or 'text'")
 
 
 def load_jsonl(path, vocab: Vocab | None = None,
                max_len: int | None = None) -> list[Example]:
     """Read one JSON object per line; mixed token/text schemas are rejected.
 
-    Every malformed line raises SchemaError naming it, and every example
-    records its file name and line as ``source``. Whether integer labels are
+    Every malformed line raises SchemaError naming it as "<file name>:<line>",
+    and every example records that as its ``source``. Whether integer labels are
     class labels is decided where the loss is known, not here.
     """
     blob = Path(path).read_bytes()
+    name = Path(path).name
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as err:
         line_no = blob.count(b"\n", 0, err.start) + 1
-        raise SchemaError(f"line {line_no}: not valid UTF-8")
+        raise SchemaError(f"{name}:{line_no}: not valid UTF-8")
     examples: list[Example] = []
     schema_seen: str | None = None
-    name = Path(path).name
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not line.strip():
             continue
+        where = f"{name}:{line_no}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as err:
-            raise SchemaError(f"line {line_no}: malformed JSON ({err.msg})")
+            raise SchemaError(f"{where}: malformed JSON ({err.msg})")
         except (ValueError, RecursionError) as err:  # digit limit, deep nesting
-            raise SchemaError(f"line {line_no}: unreadable JSON ({type(err).__name__})")
+            raise SchemaError(f"{where}: unreadable JSON ({type(err).__name__})")
         if not isinstance(record, dict):
-            raise SchemaError(f"line {line_no}: expected a JSON object")
-        example, schema = _example_from_record(record, vocab, max_len, line_no)
+            raise SchemaError(f"{where}: expected a JSON object")
+        example, schema = _example_from_record(record, vocab, max_len, where)
         if schema_seen is None:
             schema_seen = schema
         elif schema != schema_seen:
-            raise SchemaError(f"line {line_no}: mixed '{schema}' and "
+            raise SchemaError(f"{where}: mixed '{schema}' and "
                               f"'{schema_seen}' schemas in one file")
-        example.source = f"{name}:{line_no}"
+        example.source = where
         examples.append(example)
     return examples
 
@@ -192,7 +193,7 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("pattern_containment", "majority_token", "pair_similarity"):
+        if self.kind not in _GENERATORS:
             raise ValueError(f"unknown synthetic task kind '{self.kind}'")
         if self.train_size < 1 or self.eval_size < 1:
             raise ValueError("dataset sizes must be >= 1")

@@ -56,18 +56,16 @@ class EncoderConfig:
     def __post_init__(self):
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
-        if self.vocab_size < 1 or self.num_layers < 1 or self.d_model < 1:
-            raise ValueError("EncoderConfig: extents must be positive")
-        if self.num_heads_encoder < 1:
-            raise ValueError(f"EncoderConfig: num_heads_encoder must be >= 1, "
-                             f"got {self.num_heads_encoder}")
+        for name in ("vocab_size", "num_layers", "d_model", "num_heads_encoder"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"EncoderConfig: {name} must be >= 1, got {value}")
         if self.d_model % self.num_heads_encoder != 0:
             raise ValueError(f"EncoderConfig: d_model {self.d_model} not divisible "
                              f"by num_heads_encoder {self.num_heads_encoder}")
         if self.max_seq_len < 2:
-            raise ValueError("EncoderConfig: max_seq_len must be >= 2")
+            raise ValueError(f"EncoderConfig: max_seq_len must be >= 2, got {self.max_seq_len}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("EncoderConfig: dropout must be in [0, 1)")
+            raise ValueError(f"EncoderConfig: dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def num_parameters(self) -> int:

@@ -114,9 +114,10 @@ class TrainConfig:
         if not 0 <= self.weight_decay < inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.warmup_ratio < 1.0:
-            raise ValueError("warmup_ratio must be in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+            raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
+        for name in ("batch_size", "epochs"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.loss not in ("cross_entropy", "squared_error"):
             raise ValueError(f"unknown loss '{self.loss}'")
         if self.seed < 0:  # numpy's generators take no negative seed
@@ -282,17 +283,19 @@ def _eval_threads(dataset: list[Example], batch_size: int, d_model: int) -> int:
 
 
 @functools.cache
-def _one_malloc_arena() -> None:
-    # glibc gives a thread that allocates while another holds the main arena
-    # an arena of its own, and keeps what the thread frees there: two eval
-    # threads raised train-b32's peak RSS by 7 MB. One arena keeps every
-    # thread's freed blocks in the one heap. M_ARENA_MAX is -8 in malloc.h.
+def _keep_heap() -> None:
+    # glibc's heap policy (option numbers from malloc.h): one arena, as an eval
+    # thread's own arena kept what it freed (7 MB of train-b32's peak RSS), and
+    # each step's freed graph (8 MiB at T=48, B=16) kept in the heap, not
+    # unmapped or trimmed and faulted back in on the next step
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no glibc: nothing to cap
+    except (AttributeError, OSError, TypeError):  # no glibc: nothing to set
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-8, 1)
+    mallopt(-3, 16 << 20)
+    mallopt(-1, 32 << 20)
 
 
 def evaluate(model: Model, dataset: list[Example], batch_size: int = 64) -> dict[str, float]:
@@ -314,7 +317,7 @@ def evaluate(model: Model, dataset: list[Example], batch_size: int = 64) -> dict
         if threads == 1:
             batches = [logits(lo) for lo in starts]
         else:
-            _one_malloc_arena()
+            _keep_heap()
             with ThreadPoolExecutor(threads) as pool:  # joined before evaluate returns
                 batches = list(pool.map(Context.run, [copy_context() for _ in starts],
                                         repeat(logits), starts))
@@ -375,11 +378,7 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example]
         raise TrainingError("train: datasets must be nonempty")
     check_labels(train_set, "training", cfg.loss)
     check_labels(eval_set, "eval", cfg.loss)
-    # glibc mmaps a block this large; freeing it raises the mmap threshold to
-    # its size and the heap trim threshold to twice that (32 MiB), so each
-    # step's freed graph (about 8 MiB at T=48, B=16) stays in the heap instead
-    # of being trimmed and faulted back in
-    np.empty(16 << 20, dtype=np.uint8)
+    _keep_heap()
     started = time.perf_counter()
     n_classes = _infer_n_classes(cfg, train_set, eval_set)
     model = build_model(cfg, n_classes)

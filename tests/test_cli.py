@@ -244,6 +244,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: bad.jsonl:3: class label -3 is outside [0, 10000)\n"
 
+    def test_schema_error_names_the_file_it_is_in(self, tmp_path, capsys):
+        good = _write_jsonl(tmp_path / "good.jsonl", [{"tokens": [5], "label": i % 2}
+                                                      for i in range(4)])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"tokens": [5], "label": 0}\n[5, 6]\n', encoding="utf-8")
+        out = tmp_path / "out"
+        rc = run_cli("train", "--data", good, "--eval-data", str(bad), *TINY,
+                     "--head", "baseline", "--seed", "1", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: bad.jsonl:2: expected a JSON object\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--data", "--eval-data"])
     @pytest.mark.parametrize("command, argv", [
         ("train", ["--head", "baseline", "--seed", "1"]),
@@ -395,6 +407,33 @@ class TestRunSettingRefusals:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"error: EncoderConfig: num_heads_encoder must be >= 1, got {heads}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--num-layers", "0"], "EncoderConfig: num_layers must be >= 1, got 0"),
+        (["--d-model", "0"], "EncoderConfig: d_model must be >= 1, got 0"),
+        (["--d-model", "30"], "EncoderConfig: d_model 30 not divisible by num_heads_encoder 4"),
+        (["--dropout", "1"], "EncoderConfig: dropout must be in [0, 1), got 1.0"),
+        (["--warmup-ratio", "1"], "warmup_ratio must be in [0, 1), got 1.0"),
+        (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["--vocab-size", "5"], "vocab_size 5 too small for generated tasks"),
+        (["--seq-len", "0"], "bad seq_len range (0, 0)"),
+        (["--data", "{data}", "--eval-data", "{data}", "--max-seq-len", "1"],
+         "EncoderConfig: max_seq_len must be >= 2, got 1"),
+    ])
+    def test_a_setting_no_run_can_use_is_named_with_its_value(self, tmp_path, capsys, argv,
+                                                                message):
+        data = _write_jsonl(tmp_path / "d.jsonl", [{"tokens": [5, 6], "label": i % 2}
+                                                   for i in range(4)])
+        # every case but the file-data one reads the pattern task
+        argv = [a.replace("{data}", data) for a in argv] if "--data" in argv \
+            else ["--task", "pattern", *argv]
+        out = tmp_path / "out"
+        rc = run_cli("train", *argv, *SMALL, "--head", "baseline", "--seed", "1",
+                     "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
@@ -901,6 +940,7 @@ class TestConfigFileAndEnv:
         cfg.write_text(
             "task=pattern\ntrain_size=48\neval_size=16\nseq_len=8\n"
             "vocab_size=30\nnum_layers=2\nd_model=16\nenc_heads=2\n"
+            "# a comment, then a blank line\n\n"
             "epochs=1\nlr=1e-3\ndropout=0.0\nheads=baseline,mha:h=2\n"
             "seeds=1\nout=" + str(tmp_path / "out") + "\n", encoding="utf-8")
         assert run_cli("compare", "--config", str(cfg)) == 0

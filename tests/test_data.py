@@ -90,14 +90,14 @@ class TestJsonl:
         path.write_text('{"tokens":[5],"label":0}\n{}\n', encoding="utf-8")
         with pytest.raises(SchemaError) as exc:
             load_jsonl(path)
-        assert "line 2" in str(exc.value)
+        assert str(exc.value).startswith("d.jsonl:2: ")
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"tokens":[5],"label":0}\nnot json\n', encoding="utf-8")
         with pytest.raises(SchemaError) as exc:
             load_jsonl(path)
-        assert "line 2" in str(exc.value)
+        assert str(exc.value).startswith("d.jsonl:2: ")
 
     def test_missing_label(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -129,7 +129,7 @@ class TestJsonl:
         first = b'{"tokens": [4], "label": 1}' if b"tokens" in line \
             else b'{"text": "a", "label": 1}'  # same schema: no mixed-schema error
         path.write_bytes(first + b"\n" + line + b"\n")
-        with pytest.raises(SchemaError, match="line 2"):
+        with pytest.raises(SchemaError, match="^d.jsonl:2: "):
             load_jsonl(path, vocab)
 
     def test_negative_class_label_is_refused(self, tmp_path):
@@ -270,6 +270,10 @@ class TestGenerators:
         assert str(err.value) == (
             "pattern_containment: cannot draw eval_size 20 sequences unlike train_size 50 "
             "at vocab_size 8 and seq_len (2, 2): 100 draws for eval example 1 all repeated one")
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown synthetic task kind 'parity'$"):
+            SyntheticTaskSpec(kind="parity")
 
     def test_infeasible_spec(self):
         with pytest.raises(ValueError):

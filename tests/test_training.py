@@ -2,8 +2,11 @@ import gc
 import math
 import multiprocessing
 import os
+import platform
 import struct
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import weakref
@@ -392,6 +395,37 @@ class TestTrainLoop:
         finally:
             gc.enable()
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
+    def test_a_second_grid_t48_cell_reuses_the_heap(self):
+        """A fresh process trains one grid-t48 cell, then counts the minor page
+        faults of training it again. Each step frees its whole graph; kept in
+        the heap, it is reused with no fault. Measured 25-317 faults, against
+        32.8k-35.1k with glibc's default thresholds."""
+        script = textwrap.dedent("""
+            import resource
+            from clspool.data import SyntheticTaskSpec, gen_synthetic
+            from clspool.encoder import EncoderConfig
+            from clspool.heads import parse_head_spec
+            from clspool.training import TrainConfig, train
+
+            spec = SyntheticTaskSpec(kind="majority_token", vocab_size=50, seq_len=(47, 47),
+                                     train_size=96, eval_size=96, seed=1)
+            train_set, eval_set = gen_synthetic(spec)
+            enc = EncoderConfig(vocab_size=50, num_layers=4, d_model=32,
+                                num_heads_encoder=4, max_seq_len=64, dropout=0.1)
+            cfg = TrainConfig(encoder=enc, head=parse_head_spec("maxseq+mha:k=3,h=4"),
+                              learning_rate=3e-3, epochs=2, batch_size=16, seed=1)
+            train(cfg, train_set, eval_set)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(cfg, train_set, eval_set)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """)
+        src = Path(training.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert int(result.stdout) < 2000
+
     def test_seeds_change_the_outcome(self):
         train_set, eval_set = small_task()
         losses = set()
@@ -762,7 +796,7 @@ class TestThreadedEvaluate:
         _, eval_set = small_task(train_size=8, eval_size=24)
         model = build_model(small_cfg(), 2)
         threads_at_cap = []
-        monkeypatch.setattr(training, "_one_malloc_arena",
+        monkeypatch.setattr(training, "_keep_heap",
                             lambda: threads_at_cap.append(threading.active_count()))
         before = threading.active_count()
         for threads in (1, 2):
