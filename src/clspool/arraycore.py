@@ -35,6 +35,7 @@ __all__ = [
     "select_max_norm_axis0",
     "layer_norm",
     "gelu",
+    "feed_forward",
     "dropout",
     "mask_rows",
     "attention",
@@ -400,36 +401,81 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def _gelu(x: np.ndarray, t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(gelu(x), t) with t the tanh term: in place, in the order of
+    0.5*x * (1 + tanh(C*(x + A*((x*x)*x)))). Given the t it returned, it
+    rebuilds the same output bit for bit."""
+    if t is None:
+        t = x * x  # x ** 3 would take numpy's pow path, 100x slower on float32
+        t *= x
+        t *= _GELU_A
+        t += x
+        t *= _GELU_C
+        np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out, t
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * gelu'(x) from x and the tanh term t."""
+    # g * (0.5*(1 + t) + 0.5*x * (1 - t**2) * C*(1 + 3*A * (x*x))), in place in that
+    # order; x*x is recomputed, as keeping it would hold one more array per call
+    du = x * x
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    b = t * t
+    np.subtract(1.0, b, out=b)
+    b *= 0.5 * x
+    b *= du
+    dy = np.add(t, 1.0, out=du)
+    dy *= 0.5
+    dy += b
+    dy *= g
+    return dy
+
+
 def gelu(x: Array) -> Array:
     """Tanh-form GELU; the backward is the exact derivative of this form."""
     xd = x.data
-    t = xd * xd  # x ** 3 would take numpy's pow path, 100x slower on float32
-    t *= xd  # then in place, in the order of 0.5*x * (1 + tanh(C*(x + A*((x*x)*x))))
-    t *= _GELU_A
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = 0.5 * xd
-    out *= 1.0 + t
+    out, t = _gelu(xd)
+    return _make("gelu", out, (x,), lambda g: (_gelu_grad(xd, t, g),))
+
+
+def feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> Array:
+    """gelu(x @ w1 + b1) @ w2 + b2 for x (..., d), w1 (d, f), b1 (f,), w2 (f, e)
+    and b2 (e,): the chain of matmul, add, gelu, matmul and add as one op.
+
+    It runs the chain's numpy operations in the chain's order, so every bit of
+    the output and of the gradients is the chain's. Its node saves x, the
+    pre-activation h and gelu's tanh term t, but not the activation a that w2's
+    gradient reads: backward rebuilds a from h and t as the forward built it.
+    """
+    if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] \
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]:
+        raise ShapeError(f"feed_forward: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+                         f"w2 {w2.shape}, b2 {b2.shape} are not (..., d), (d, f), (f,), "
+                         f"(f, e), (e,)")
+    (d, f), e = w1.shape, w2.shape[1]
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    h = xd @ w1d
+    h += b1.data
+    a, t = _gelu(h)
+    y = a @ w2d
+    y += b2.data
 
     def bwd(g):
-        # g * (0.5*(1 + t) + 0.5*x * (1 - t**2) * C*(1 + 3*A * (x*x))), in place in that
-        # order; x*x is recomputed, as keeping it would hold one more array per call
-        du = xd * xd
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C
-        b = t * t
-        np.subtract(1.0, b, out=b)
-        b *= 0.5 * xd
-        b *= du
-        dy = np.add(t, 1.0, out=du)
-        dy *= 0.5
-        dy += b
-        dy *= g
-        return (dy,)
+        # a is rebuilt only once dh has been used and freed, so that no more
+        # (..., f) arrays are alive at once than in gelu's own backward
+        dh = _gelu_grad(h, t, g @ w2d.T)
+        grads = (dh @ w1d.T, xd.reshape(-1, d).T @ dh.reshape(-1, f),
+                 dh.reshape(-1, f).sum(axis=0))
+        del dh
+        a, _ = _gelu(h, t)
+        return (*grads, a.reshape(-1, f).T @ g.reshape(-1, e), g.reshape(-1, e).sum(axis=0))
 
-    return _make("gelu", out, (x,), bwd)
+    return _make("feed_forward", y, (x, w1, b1, w2, b2), bwd)
 
 
 def _keep_scaled(y: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:

@@ -203,7 +203,8 @@ class SyntheticTaskSpec:
                              f"and eval_size {self.eval_size}")
         lo, hi = self.seq_len
         if not 1 <= lo <= hi:
-            raise ValueError(f"bad seq_len range {self.seq_len}")
+            raise ValueError(f"seq_len must be a range (lo, hi) with 1 <= lo <= hi, "
+                             f"got {self.seq_len}")
 
 
 # motif / marker tokens used by the binary tasks
@@ -265,7 +266,8 @@ def gen_synthetic(spec: SyntheticTaskSpec) -> tuple[list[Example], list[Example]
     training sequence nor each other; ValueError when 100 draws in a row for one
     eval example all repeat."""
     if spec.vocab_size < _FILL_START + 2:
-        raise ValueError(f"vocab_size {spec.vocab_size} too small for generated tasks")
+        raise ValueError(f"vocab_size must be >= {_FILL_START + 2} for generated tasks, "
+                         f"got {spec.vocab_size}")
     if spec.kind == "pattern_containment" and spec.seq_len[0] < 2:
         raise ValueError("pattern_containment: motif needs seq_len >= 2")
     if spec.kind == "pair_similarity" and spec.seq_len[0] < 5:

@@ -56,7 +56,7 @@ class EncoderConfig:
     def __post_init__(self):
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
-        for name in ("vocab_size", "num_layers", "d_model", "num_heads_encoder"):
+        for name in ("vocab_size", "num_layers", "d_model", "num_heads_encoder", "d_ff"):
             if (value := getattr(self, name)) < 1:
                 raise ValueError(f"EncoderConfig: {name} must be >= 1, got {value}")
         if self.d_model % self.num_heads_encoder != 0:
@@ -202,9 +202,7 @@ def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,
         attn = ac.dropout(self_attention(x, layer, m, cfg.num_heads_encoder), dropout_p, rng)
         x = ac.layer_norm(ac.add(x, attn), layer.ln1_gain, layer.ln1_bias)
 
-        ff = ac.add(ac.matmul(ac.gelu(ac.add(ac.matmul(x, layer.w_ff1), layer.b_ff1)),
-                              layer.w_ff2),
-                    layer.b_ff2)
+        ff = ac.feed_forward(x, layer.w_ff1, layer.b_ff1, layer.w_ff2, layer.b_ff2)
         x = ac.layer_norm(ac.add(x, ac.dropout(ff, dropout_p, rng)),
                           layer.ln2_gain, layer.ln2_bias)
         if padded:

@@ -169,6 +169,20 @@ def gelu_oracle(x, g):
     return out, g * dy
 
 
+def feed_forward_oracle(x, w1, b1, w2, b2, g):
+    """(gelu(x @ w1 + b1) @ w2 + b2, (dx, dw1, db1, dw2, db2)) by the matmul,
+    add and gelu expressions, each into a fresh array, as the chain of those
+    three ops computes them."""
+    d, f, e = x.shape[-1], w1.shape[1], w2.shape[1]
+    h = x @ w1 + b1
+    a, _ = gelu_oracle(h, np.zeros_like(h))
+    out = a @ w2 + b2
+    dw2 = a.reshape(-1, f).T @ g.reshape(-1, e)
+    _, dh = gelu_oracle(h, g @ w2.T)
+    return out, (dh @ w1.T, x.reshape(-1, d).T @ dh.reshape(-1, f),
+                 dh.reshape(-1, f).sum(axis=0), dw2, g.reshape(-1, e).sum(axis=0))
+
+
 def _split_heads(x, h):
     *lead, t, d = x.shape
     return np.ascontiguousarray(np.swapaxes(x.reshape(*lead, t, h, d // h), -2, -3))

@@ -15,6 +15,7 @@ from clspool.arraycore import (
 )
 from oracles import (
     attention_oracle,
+    feed_forward_oracle,
     gelu_oracle,
     layer_norm_oracle,
     max_over_axis0_oracle,
@@ -560,6 +561,11 @@ def _random_op_cases(rng):
     batch = array(rng.normal(size=(2, t, d)))
     rows = array(rng.normal(size=(t, d)))
     cases.append(wrap(lambda: ac.add(batch, rows), [batch, rows]))
+    # drawn after the add case's weights, so no earlier case moves
+    f, e = (int(n) for n in rng.integers(1, 4, size=2))
+    w1, b1 = array(rng.normal(size=(d, f))), array(rng.normal(size=f))
+    w2, b2 = array(rng.normal(size=(f, e))), array(rng.normal(size=e))
+    cases.append(wrap(lambda: ac.feed_forward(batch, w1, b1, w2, b2), [batch, w1, b1, w2, b2]))
     return cases
 
 
@@ -638,6 +644,7 @@ def _one_call_per_op(rng):
         "select_max_norm_axis0": lambda: ac.select_max_norm_axis0(theta),
         "layer_norm": lambda: ac.layer_norm(x, v, v),
         "gelu": lambda: ac.gelu(x),
+        "feed_forward": lambda: ac.feed_forward(x, w, v, w, v),
         "dropout": lambda: ac.dropout(x, 0.5, np.random.default_rng(0)),
         "mask_rows": lambda: ac.mask_rows(x, np.array([1.0, 0.0, 1.0])),
         "attention": lambda: ac.attention(keys, keys, keys, mask, 2),
@@ -793,6 +800,58 @@ class TestInPlaceKernels:
             for got, want_grad in zip(leaves, want_grads):
                 assert got.grad.tobytes() == want_grad.tobytes(), shape
             assert leaf.data.tobytes() == x.tobytes()  # the input is never written
+
+
+class TestFeedForward:
+    """feed_forward is the chain matmul -> add -> gelu -> matmul -> add as one
+    op: forward, no_grad forward and all five gradients are byte for byte the
+    chain's expressions in tests/oracles.py."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, padded", [
+        pytest.param((32, 17, 32), False, id="train-b32"),
+        pytest.param((16, 48, 32), False, id="grid-t48"),
+        pytest.param((6, 18, 32), True, id="padded"),
+    ])
+    def test_matches_the_chain_expressions_bitwise(self, dtype, shape, padded):
+        rng = np.random.default_rng(17)
+        d, f = shape[-1], 4 * shape[-1]
+        x = rng.normal(size=shape).astype(dtype)
+        w1, w2 = (rng.normal(0.0, 0.3, size=s).astype(dtype) for s in ((d, f), (f, d)))
+        b1, b2 = (rng.normal(0.0, 0.1, size=n).astype(dtype) for n in (f, d))
+        g = rng.normal(size=shape).astype(dtype)
+        if padded:  # rows past each length hold zeros, and get +-0.0 back, as mask_rows gives
+            pads = np.arange(shape[1]) >= rng.integers(6, 19, size=(shape[0], 1))
+            x[pads] = 0.0
+            g[pads] = np.copysign(0.0, rng.normal(size=(pads.sum(), d)))
+        inputs = (x, w1, b1, w2, b2)
+        want, want_grads = feed_forward_oracle(*inputs, g)
+        leaves = [ac.Array(a.copy()) for a in inputs]
+        out = ac.feed_forward(*leaves)
+        backward(out, seed=g)
+        assert out.data.tobytes() == want.tobytes()
+        for leaf, want_grad in zip(leaves, want_grads):
+            assert leaf.grad.tobytes() == want_grad.tobytes()
+        with ac.no_grad():
+            assert ac.feed_forward(*leaves).data.tobytes() == want.tobytes()
+        for leaf, a in zip(leaves, inputs):  # no input is ever written
+            assert leaf.data.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("shapes", [
+        [(3,), (3, 5), (5,), (5, 2), (2,)],  # x without a row axis
+        [(4, 3), (4, 5), (5,), (5, 2), (2,)],
+        [(4, 3), (3, 5), (4,), (5, 2), (2,)],
+        [(4, 3), (3, 5), (5,), (4, 2), (2,)],
+        [(4, 3), (3, 5), (5,), (5, 2), (3,)],
+        [(4, 3), (3, 5), (5,), (5, 2, 1), (2,)],
+    ])
+    def test_refuses_shapes_that_do_not_line_up_and_names_them(self, shapes):
+        x, w1, b1, w2, b2 = (array(np.ones(s)) for s in shapes)
+        with pytest.raises(ShapeError) as err:
+            ac.feed_forward(x, w1, b1, w2, b2)
+        assert str(err.value) == (
+            f"feed_forward: x {shapes[0]}, w1 {shapes[1]}, b1 {shapes[2]}, w2 {shapes[3]}, "
+            f"b2 {shapes[4]} are not (..., d), (d, f), (f,), (f, e), (e,)")
 
 
 @pytest.mark.parametrize("pool", ["max_over_axis0", "mean_over_axis0",

@@ -417,8 +417,8 @@ class TestRunSettingRefusals:
         (["--warmup-ratio", "1"], "warmup_ratio must be in [0, 1), got 1.0"),
         (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
         (["--epochs", "0"], "epochs must be >= 1, got 0"),
-        (["--vocab-size", "5"], "vocab_size 5 too small for generated tasks"),
-        (["--seq-len", "0"], "bad seq_len range (0, 0)"),
+        (["--vocab-size", "5"], "vocab_size must be >= 8 for generated tasks, got 5"),
+        (["--seq-len", "0"], "seq_len must be a range (lo, hi) with 1 <= lo <= hi, got (0, 0)"),
         (["--data", "{data}", "--eval-data", "{data}", "--max-seq-len", "1"],
          "EncoderConfig: max_seq_len must be >= 2, got 1"),
     ])

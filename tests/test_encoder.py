@@ -30,6 +30,14 @@ def test_num_parameters_counts_what_init_draws(cfg):
     assert cfg.num_parameters == sum(p.size for _, p in params.named_parameters())
 
 
+@pytest.mark.parametrize("d_ff", [0, -5])
+def test_a_d_ff_below_one_is_refused_with_its_value(d_ff):
+    # the other sizes' refusals are driven through cli.main, which sets no d_ff
+    with pytest.raises(ValueError) as err:
+        EncoderConfig(vocab_size=10, d_ff=d_ff)
+    assert str(err.value) == f"EncoderConfig: d_ff must be >= 1, got {d_ff}"
+
+
 class TestEncode:
     def test_shape_contract(self):
         params = toy_params()
@@ -119,7 +127,7 @@ class TestUnpaddedPath:
         ops = [n.op for n in ac.Tape.trace(ac.sum_all(stack.activations[-1])).nodes]
         assert ops.count("mask_rows") == 3
 
-    def test_train_b4_baseline_step_records_72_nodes(self):
+    def test_train_b4_baseline_step_records_56_nodes(self):
         # the train-b4 benchmark shape: B=4, T=8, the 4-layer d=32 encoder, dropout 0.1
         enc = EncoderConfig(vocab_size=50, num_layers=4, d_model=32, num_heads_encoder=4,
                             max_seq_len=64, dropout=0.1)
@@ -128,7 +136,7 @@ class TestUnpaddedPath:
         logits = model.forward(ids, np.ones((4, 8)), dropout_p=0.1,
                                rng=np.random.default_rng(6))
         loss = ac.cross_entropy_mean(logits, np.array([0, 1, 1, 0]))
-        assert len(ac.Tape.trace(loss).nodes) == 72
+        assert len(ac.Tape.trace(loss).nodes) == 56
 
 
 def test_position_gradient_matches_a_scatter_over_position_ids():

@@ -623,19 +623,23 @@ def test_checkpoint_refusal_names_its_cause(tmp_path, write, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("head, fault", [
-    ("maxseq+mha:k=2,h=2", "k=2 exceeds num_layers=1"),
-    ("maxseq+mha:k=1,h=3", "num_heads 3 does not divide d_model 8"),
+@pytest.mark.parametrize("line, new, fault", [
+    pytest.param("head=maxseq+mha:k=1,h=2", "head=maxseq+mha:k=2,h=2",
+                 "head 'maxseq+mha:k=2,h=2': k=2 exceeds num_layers=1", id="head-k"),
+    pytest.param("head=maxseq+mha:k=1,h=2", "head=maxseq+mha:k=1,h=3",
+                 "head 'maxseq+mha:k=1,h=3': num_heads 3 does not divide d_model 8",
+                 id="head-num-heads"),
+    pytest.param("encoder.d_ff=32", "encoder.d_ff=-2",
+                 "EncoderConfig: d_ff must be >= 1, got -2", id="d_ff"),
 ])
-def test_checkpoint_head_that_does_not_fit_its_encoder_is_refused_at_load(tmp_path, head,
-                                                                          fault):
+def test_checkpoint_config_that_builds_no_model_is_refused_at_load(tmp_path, line, new, fault):
     blob = GOLDEN_CHECKPOINT.read_bytes()
+    assert len(new) == len(line) and blob.count(line.encode()) == 1  # the length word holds
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(_resealed(blob.replace(b"head=maxseq+mha:k=1,h=2",
-                                            f"head={head}".encode())))
+    path.write_bytes(_resealed(blob.replace(line.encode(), new.encode())))
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
-    assert str(err.value) == f"format error: head '{head}': {fault}"
+    assert str(err.value) == f"format error: {fault}"
 
 
 def test_an_encoder_past_max_parameters_is_refused_before_any_model(tmp_path, monkeypatch):
@@ -947,24 +951,25 @@ class TestBackwardAtTheAcceptanceShape:
 
     def test_the_graph_keeps_nodes_and_leaves_not_op_outputs(self, monkeypatch):
         model, step = _acceptance_step("maxseq+mha:k=3,h=4")
-        w_ff1 = {id(layer.w_ff1) for layer in model.enc.layers}
-        ff1_outputs, matmul = [], ac.matmul
+        ff_outputs, feed_forward = [], ac.feed_forward
 
-        def recording_matmul(a, b):
-            out = matmul(a, b)
-            if id(b) in w_ff1:
-                ff1_outputs.append(weakref.ref(out.data))
+        def recording_feed_forward(*args):
+            out = feed_forward(*args)
+            ff_outputs.append(weakref.ref(out.data))
             return out
 
-        monkeypatch.setattr(ac, "matmul", recording_matmul)
+        monkeypatch.setattr(ac, "feed_forward", recording_feed_forward)
         loss = step()
-        # no backward reads x @ w_ff1 (the bias add needs only the bias shape)
-        assert len(ff1_outputs) == 4 and all(ref() is None for ref in ff1_outputs)
+        # no backward reads the feed-forward output (dropout keeps its mask, add nothing)
+        assert len(ff_outputs) == 4 and all(ref() is None for ref in ff_outputs)
+        wide = (32, 17, model.enc.cfg.d_ff)
         for node in ac.Tape.trace(loss).nodes:
             assert all(type(inp) is ac.Node or (type(inp) is Array and inp.node is None)
                        for inp in node.inputs), node.op
             saved = [cell.cell_contents for cell in node.bwd.__closure__ or ()]
             assert not any(isinstance(x, (Array, ac.Node)) for x in saved), node.op
+            if node.op == "feed_forward":  # h and t; backward rebuilds the activation
+                assert sum(np.shape(x) == wide for x in saved) == 2
 
     @staticmethod
     def _step_memory(batch_size=32, tokens=16):
@@ -984,18 +989,21 @@ class TestBackwardAtTheAcceptanceShape:
 
     def test_a_step_holds_only_what_backward_still_needs(self):
         graph, backward_extra = self._step_memory()
-        # bytes; measured 6.69 MB and 1.39 MB, and 6.83 MB and 1.50 MB while the
-        # pools read a stacked copy of the last k layers. The graph took 10.65 MB
-        # while each node held its input arrays and dropout a float mask,
+        # bytes; measured 5.57 MB and 1.43 MB, and 6.69 MB and 1.39 MB while the
+        # feed-forward block's matmul kept its gelu activation, 6.83 MB and 1.50 MB
+        # while the pools read a stacked copy of the last k layers. The graph took
+        # 10.65 MB while each node held its input arrays and dropout a float mask,
         # 12.74 MB while it also kept attention's head-split copies and gelu's
         # x*x, and backward's peak was 8.11 MB while it kept every gradient it made
-        assert graph <= 6.9e6
+        assert graph <= 5.75e6
         assert backward_extra <= 1.6e6
 
     def test_a_grid_t48_step_holds_only_what_backward_still_needs(self):
         graph, backward_extra = self._step_memory(batch_size=16, tokens=47)
-        # bytes; measured 10.93 MB and 1.92 MB, 11.13 MB and 2.14 MB while the
-        # pools read a stacked copy of the last k layers, and 16.51 MB and
-        # 2.14 MB while each node held its input arrays and dropout a float mask
-        assert graph <= 11.2e6
+        # bytes; measured 9.35 MB and 1.99 MB, 10.93 MB and 1.92 MB while the
+        # feed-forward block's matmul kept its gelu activation, 11.13 MB and
+        # 2.14 MB while the pools read a stacked copy of the last k layers, and
+        # 16.51 MB and 2.14 MB while each node held its input arrays and dropout
+        # a float mask
+        assert graph <= 9.65e6
         assert backward_extra <= 2.2e6
