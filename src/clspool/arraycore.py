@@ -37,7 +37,6 @@ __all__ = [
     "gelu",
     "feed_forward",
     "dropout",
-    "mask_rows",
     "attention",
     "embed_lookup",
     "sum_all",
@@ -499,15 +498,6 @@ def dropout(x: Array, p: float, rng: np.random.Generator) -> Array:
     mask = rng.random(x.shape) >= p
     return _make("dropout", _keep_scaled(x.data, mask, p), (x,),
                  lambda g: (_keep_scaled(g, mask, p),))
-
-
-def mask_rows(x: Array, mask: np.ndarray) -> Array:
-    """Zero out rows where mask == 0. mask has the shape of x minus the last axis."""
-    m = np.asarray(mask, dtype=x.data.dtype)
-    if m.shape != x.shape[:-1]:
-        raise ShapeError(f"mask_rows: mask {m.shape} does not match rows of {x.shape}")
-    m = m[..., None]
-    return _make("mask_rows", x.data * m, (x,), lambda g: (g * m,))
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:

@@ -630,6 +630,10 @@ def cmd_eval(args) -> int:
     exp.vocab_size, exp.max_seq_len = cfg.encoder.vocab_size, cfg.encoder.max_seq_len
     _check_seq_len(exp, "the checkpoint's max_seq_len")
     _, eval_set, task, _ = _load_datasets(exp)
+    for i, ex in enumerate(eval_set):  # encode would name neither the line nor the id
+        if outside := [t for t in ex.token_ids if t >= cfg.encoder.vocab_size]:
+            raise CliError(f"{ex.source or f'eval example {i + 1}'}: token id {outside[0]} "
+                           f"is outside the checkpoint's vocab_size {cfg.encoder.vocab_size}")
     check_labels(eval_set, "eval", cfg.loss)
     metrics = evaluate(model, eval_set)
     print(json.dumps({"task": task, "head": cfg.head.spec(), "metrics": metrics},

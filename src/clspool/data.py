@@ -205,6 +205,8 @@ class SyntheticTaskSpec:
         if not 1 <= lo <= hi:
             raise ValueError(f"seq_len must be a range (lo, hi) with 1 <= lo <= hi, "
                              f"got {self.seq_len}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"data seed must be >= 0, got {self.seed}")
 
 
 # motif / marker tokens used by the binary tasks
@@ -297,6 +299,8 @@ def subsample(dataset: list[Example], n: int, seed: int) -> list[Example]:
     """Seeded sample without replacement, label-stratified for int labels."""
     if not 1 <= n <= len(dataset):
         raise ValueError(f"subsample: n={n} out of range [1, {len(dataset)}]")
+    if seed < 0:
+        raise ValueError(f"data seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     labels = [ex.label for ex in dataset]
     if not all(isinstance(lab, int) for lab in labels):

@@ -6,8 +6,8 @@ returns the full ordered list. Position 0 of every sequence is the [CLS] slot.
 
 Layer layout is the stock post-layer-norm encoder: self-attention -> residual
 add -> layer norm, then feed-forward (GELU) -> residual add -> layer norm.
-Padded positions get an additive -1e9 attention score and are zeroed in each
-layer's output.
+Padded positions get an additive -1e9 attention score, and that mask alone keeps
+them out of every valid position; their own rows hold values no output reads.
 
 Inputs are batches: a (B, T) array of padded id rows, so every activation is
 B x T x d. A single sequence is a batch of one. The input to the first layer is
@@ -196,7 +196,6 @@ def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,
     x = ac.dropout(ac.add(ac.embed_lookup(params.tok_emb, ids),
                           ac.slice_rows(params.pos_emb, 0, seq)), dropout_p, rng)
 
-    padded = not m.all()  # on an unpadded batch mask_rows would multiply by 1.0
     activations = []
     for layer in params.layers:
         attn = ac.dropout(self_attention(x, layer, m, cfg.num_heads_encoder), dropout_p, rng)
@@ -205,7 +204,5 @@ def encode(params: EncoderParams, tokens, mask: np.ndarray | None = None,
         ff = ac.feed_forward(x, layer.w_ff1, layer.b_ff1, layer.w_ff2, layer.b_ff2)
         x = ac.layer_norm(ac.add(x, ac.dropout(ff, dropout_p, rng)),
                           layer.ln2_gain, layer.ln2_bias)
-        if padded:
-            x = ac.mask_rows(x, m)
         activations.append(x)
     return LayerStack(activations=activations, mask=m)

@@ -234,6 +234,18 @@ class TestExitCodes:
         assert "ev.jsonl:1: class label 0.5 is not an integer" in captured.err
         assert not captured.out
 
+    def test_eval_names_a_token_id_past_the_checkpoints_vocab(self, tmp_path, monkeypatch,
+                                                              capsys):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **kw: pytest.fail("eval ran"))
+        rows = [{"tokens": [5, 11], "label": 0}, {"tokens": [5, 3, 12, 20], "label": 1},
+                {"tokens": [30], "label": 0}]  # TINY_CKPT's vocab_size is 12
+        data = _write_jsonl(tmp_path / "big.jsonl", rows)
+        rc = run_cli("eval", "--ckpt", TINY_CKPT, "--data", data, "--eval-data", data)
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: big.jsonl:2: token id 12 is outside "
+                                           "the checkpoint's vocab_size 12\n")
+
     def test_class_label_error_names_its_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"  # line 2 is blank, so example 2 sits on line 3
         bad.write_text('{"tokens": [5], "label": 0}\n\n{"tokens": [6], "label": -3}\n'
@@ -344,6 +356,16 @@ class TestExitCodes:
           "--train-size", "50", "--eval-size", "20"],
          "pattern_containment: cannot draw eval_size 20 sequences unlike train_size 50 at "
          "vocab_size 8 and seq_len (2, 2): 100 draws for eval example 1 all repeated one"),
+        (["train", "--task", "pattern", "--data-seed", "-1"], "data seed must be >= 0, got -1"),
+        (["compare", "--task", "pattern", "--head", "baseline", "--head", "mha",
+          "--data-seed", "-1"], "data seed must be >= 0, got -1"),
+        (["lowres", "--task", "pattern", "--head", "baseline", "--head", "mha",
+          "--size", "8", "--data-seed", "-1"], "data seed must be >= 0, got -1"),
+        (["eval", "--ckpt", TINY_CKPT, "--task", "pattern", "--seq-len", "7",
+          "--data-seed", "-1"], "data seed must be >= 0, got -1"),
+        (["lowres", "--data", "{data}", "--eval-data", "{data}", "--head", "baseline",
+          "--head", "mha", "--size", "1", "--data-seed", "-1"],
+         "data seed must be >= 0, got -1"),
     ])
     def test_usage_error_names_its_cause(self, tmp_path, monkeypatch, capsys, argv,
                                          message):

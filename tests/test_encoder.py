@@ -62,13 +62,6 @@ class TestEncode:
         for ya, yb in zip(a.activations, b.activations):
             assert np.array_equal(ya.data, yb.data)
 
-    def test_padded_rows_are_zero(self):
-        params = toy_params()
-        stack = encode(params, [[1, 4, 0, 0]], mask=np.array([[1.0, 1.0, 0.0, 0.0]]))
-        for y in stack.activations:
-            assert np.all(y.data[0, 2:] == 0.0)
-            assert np.any(y.data[0, :2] != 0.0)
-
     def test_padding_never_leaks_into_valid_positions(self):
         # changing a padded token's id leaves every valid activation untouched
         rng = np.random.default_rng(11)
@@ -107,36 +100,26 @@ class TestEncode:
 
 
 class TestUnpaddedPath:
-    """On a batch with no padding, encode skips mask_rows: multiplying by an
-    all-ones mask is an exact identity, so no bit and no gradient changes."""
+    """The attention mask alone keeps padding out, so a padded batch records the
+    graph of an unpadded one."""
 
-    def test_unpadded_batch_records_no_mask_rows(self):
-        params = toy_params(dtype=np.float32)
-        ids = np.random.default_rng(3).integers(1, 12, size=(4, 8))
-        mask = np.ones((4, 8))
-        stack = encode(params, ids, mask, dropout_p=0.1, rng=np.random.default_rng(4))
-        for y in stack.activations:  # the skipped multiply would change no byte
-            assert ac.mask_rows(y, mask).data.tobytes() == y.data.tobytes()
-        ops = [n.op for n in ac.Tape.trace(ac.sum_all(stack.activations[-1])).nodes]
-        assert "mask_rows" not in ops
-
-    def test_padded_batch_masks_every_layer(self):
-        params = toy_params(n_layers=3)
-        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        stack = encode(params, [[1, 4, 5, 0], [1, 6, 7, 8]], mask)
-        ops = [n.op for n in ac.Tape.trace(ac.sum_all(stack.activations[-1])).nodes]
-        assert ops.count("mask_rows") == 3
-
-    def test_train_b4_baseline_step_records_56_nodes(self):
+    @staticmethod
+    def _baseline_step_nodes(mask):
         # the train-b4 benchmark shape: B=4, T=8, the 4-layer d=32 encoder, dropout 0.1
         enc = EncoderConfig(vocab_size=50, num_layers=4, d_model=32, num_heads_encoder=4,
                             max_seq_len=64, dropout=0.1)
         model = build_model(TrainConfig(encoder=enc, seed=1), n_classes=2)
         ids = np.random.default_rng(5).integers(1, 50, size=(4, 8))
-        logits = model.forward(ids, np.ones((4, 8)), dropout_p=0.1,
-                               rng=np.random.default_rng(6))
+        logits = model.forward(ids, mask, dropout_p=0.1, rng=np.random.default_rng(6))
         loss = ac.cross_entropy_mean(logits, np.array([0, 1, 1, 0]))
-        assert len(ac.Tape.trace(loss).nodes) == 56
+        return len(ac.Tape.trace(loss).nodes)
+
+    def test_train_b4_baseline_step_records_56_nodes(self):
+        assert self._baseline_step_nodes(np.ones((4, 8))) == 56
+
+    def test_padded_baseline_step_records_the_same_56_nodes(self):
+        mask = (np.arange(8) < np.array([[8], [5], [3], [1]])).astype(float)
+        assert self._baseline_step_nodes(mask) == 56
 
 
 def test_position_gradient_matches_a_scatter_over_position_ids():
@@ -152,7 +135,7 @@ def test_position_gradient_matches_a_scatter_over_position_ids():
     emb = next(n for n in nodes if n.op == "add")  # every later add depends on it
     rng = np.random.default_rng(13)
     g = rng.normal(size=(3, 6, 8)).astype(np.float32)
-    pads = mask == 0.0  # a masked layer hands its padded rows +-0.0
+    pads = mask == 0.0  # a padded row reaches the loss only as a masked key: +-0.0
     g[pads] = np.copysign(0.0, rng.normal(size=(pads.sum(), 8)))
     g[:, -1, 0] = -0.0
     root = Array(np.empty(g.shape, np.float32), node=emb)  # backward from the sum, seeded g

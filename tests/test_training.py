@@ -23,7 +23,7 @@ from clspool import arraycore as ac
 from clspool.arraycore import Array, backward, grad_check
 from clspool.data import Example, SchemaError, SyntheticTaskSpec, gen_synthetic, load_jsonl
 from clspool.encoder import EncoderConfig
-from clspool.heads import ConfigurationError, HeadKind, parse_head_spec
+from clspool.heads import VALID_HEAD_KINDS, ConfigurationError, HeadKind, parse_head_spec
 from clspool.training import (
     CLIP_NORM,
     MAX_CLASSES,
@@ -497,6 +497,40 @@ class TestPadBatch:
         assert ids.tolist() == [[1, 5, 6], [1, 7, 0]]
         assert mask.tolist() == [[1, 1, 1], [1, 1, 0]]
         assert labels == [0, 1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", VALID_HEAD_KINDS)
+    def test_padded_ids_reach_no_output(self, kind, dtype):
+        """The attention mask alone keeps padding out: whatever ids the padded
+        positions hold, every head's logits, dropout loss and gradients match."""
+        spec = SyntheticTaskSpec(kind="majority_token", vocab_size=30, seq_len=(3, 18),
+                                 train_size=12, eval_size=1, seed=4)
+        ids, mask, labels = pad_batch(gen_synthetic(spec)[0])
+        pads = mask == 0.0
+        assert pads.any()
+        noisy = ids.copy()
+        noisy[pads] = np.random.default_rng(5).integers(1, 30, size=pads.sum())
+        model = build_model(small_cfg(head=HeadKind(kind), dropout=0.1, n_layers=3),
+                            n_classes=2, dtype=dtype)
+
+        def outputs(batch_ids):
+            with ac.no_grad():
+                logits = model.forward(batch_ids, mask).data
+            loss = ac.cross_entropy_mean(
+                model.forward(batch_ids, mask, dropout_p=0.1, rng=np.random.default_rng(6)),
+                np.asarray(labels))
+            backward(loss)
+            grads = []
+            for _, p in model.named_parameters():
+                grads.append(p.grad)
+                p.zero_grad()
+            return logits, loss.data, grads
+
+        logits, loss, grads = outputs(ids)
+        noisy_logits, noisy_loss, noisy_grads = outputs(noisy)
+        assert logits.tobytes() == noisy_logits.tobytes()
+        assert loss.tobytes() == noisy_loss.tobytes()
+        assert all(np.array_equal(g, h) for g, h in zip(grads, noisy_grads, strict=True))
 
 
 class TestCheckpoints:
