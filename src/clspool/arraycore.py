@@ -419,14 +419,16 @@ def _gelu(x: np.ndarray, t: np.ndarray | None = None) -> tuple[np.ndarray, np.nd
 def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g * gelu'(x) from x and the tanh term t."""
     # g * (0.5*(1 + t) + 0.5*x * (1 - t**2) * C*(1 + 3*A * (x*x))), in place in that
-    # order; x*x is recomputed, as keeping it would hold one more array per call
-    du = x * x
+    # order; x*x is recomputed (keeping it would hold one more array per call) into
+    # the buffer that held 0.5*x, so two buffers of x's size are alive beside g
+    b = t * t
+    np.subtract(1.0, b, out=b)
+    du = 0.5 * x
+    b *= du
+    np.multiply(x, x, out=du)
     du *= 3.0 * _GELU_A
     du += 1.0
     du *= _GELU_C
-    b = t * t
-    np.subtract(1.0, b, out=b)
-    b *= 0.5 * x
     b *= du
     dy = np.add(t, 1.0, out=du)
     dy *= 0.5

@@ -23,8 +23,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from io import StringIO
@@ -130,7 +128,8 @@ _CONVERTERS = {"str | None": (str, False), "str": (str, False), "int": (int, Fal
 def _experiment_from_args(args) -> ExperimentConfig:
     """Defaults, then config-file values, then flags; for a subcommand that
     takes --seed, CLSPOOL_SEED stands in for seeds that neither the file nor a
-    flag gives."""
+    flag gives. A negative data seed is refused here, before any data is read:
+    file data would never pass it to the generator or subsample that check it."""
     values = _read_config_file(args.config) if args.config else {}
     for f in fields(ExperimentConfig):
         if getattr(args, f.name, None) is not None:
@@ -138,7 +137,10 @@ def _experiment_from_args(args) -> ExperimentConfig:
     if hasattr(args, "seeds") and "seeds" not in values \
             and (raw := os.environ.get("CLSPOOL_SEED")):
         values["seeds"] = [_convert(int, raw, "CLSPOOL_SEED")]
-    return ExperimentConfig(**values)
+    exp = ExperimentConfig(**values)
+    if exp.data_seed < 0:
+        raise CliError(f"data seed must be >= 0, got {exp.data_seed}")
+    return exp
 
 
 def _convert(convert, raw: str, name: str, what: str = ""):
@@ -305,6 +307,8 @@ def _run_cell(cell: tuple) -> dict:
 def _run_alone(cell: tuple) -> dict:
     """Run a cell once more, alone in a fresh one-worker pool; if that worker
     dies too, the cell's error record."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     with ProcessPoolExecutor(max_workers=1) as pool:
         try:
             return pool.submit(_run_cell, cell).result()
@@ -316,6 +320,7 @@ def _records(returned, cells: list[tuple]):
     """The records ``returned`` yields, in cell order. Once a worker process
     dies the pool gives back nothing more, so each cell that has not come back
     is run again alone."""
+    from concurrent.futures.process import BrokenProcessPool
     done = 0
     try:
         for record in returned:
@@ -337,8 +342,12 @@ def _run_grid(cells: list[tuple], heads: list[str], jobs: int, out_dir: Path,
     records = []
     workers = min(jobs, len(cells))  # a fork pool starts all its workers at once
     parallel = workers > 1
+    if parallel:  # the pool machinery loads only in a process that starts a pool
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        for record in _records((pool.map if parallel else map)(_run_cell, cells), cells):
+        returned = _records(pool.map(_run_cell, cells), cells) if parallel \
+            else map(_run_cell, cells)
+        for record in returned:
             name = f"{_slug(record['head'])}__seed{record['seed']}.json"
             (runs_dir / name).write_text(json.dumps(record, indent=2, sort_keys=True),
                                          encoding="utf-8")

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import multiprocessing
 import os
 import struct
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextvars import Context, copy_context
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -273,6 +271,7 @@ def _eval_threads(dataset: list[Example], batch_size: int, d_model: int) -> int:
     on, at most one per batch. One in a process that multiprocessing started
     (a --jobs grid worker, where the pool already keeps each core busy), and
     one for batches below MIN_THREADED_BATCH_VALUES on average."""
+    import multiprocessing  # loaded by the first evaluate, not by every import
     batches = len(range(0, len(dataset), batch_size))
     values = d_model * sum(len(ex.token_ids) for ex in dataset)
     if multiprocessing.parent_process() is not None or \
@@ -317,6 +316,7 @@ def evaluate(model: Model, dataset: list[Example], batch_size: int = 64) -> dict
         if threads == 1:
             batches = [logits(lo) for lo in starts]
         else:
+            from concurrent.futures import ThreadPoolExecutor
             _keep_heap()
             with ThreadPoolExecutor(threads) as pool:  # joined before evaluate returns
                 batches = list(pool.map(Context.run, [copy_context() for _ in starts],

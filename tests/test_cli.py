@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import json
 import os
@@ -394,10 +395,28 @@ class TestRunSettingRefusals:
         assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["compare", "--head", "baseline", "--head", "mha:h=2"],
+        ["ablate-k", "--head", "maxseq+mha:h=2"],
+        ["lowres", "--head", "baseline", "--head", "mha:h=2", "--size", "full"],
+        ["eval", "--ckpt", TINY_CKPT],
+    ], ids=lambda argv: argv[0])
+    def test_negative_data_seed_with_file_data(self, tmp_path, monkeypatch, capsys, argv):
+        import clspool.cli as cli
+        monkeypatch.setattr(cli, "load_jsonl", lambda *a, **kw: pytest.fail("data was read"))
+        data = _write_jsonl(tmp_path / "d.jsonl",
+                            [{"tokens": [5 + i % 3, 6], "label": i % 2} for i in range(8)])
+        out_flag = [] if argv[0] == "eval" else ["--out", str(tmp_path / "out")]
+        rc = run_cli(*argv, "--data", data, "--eval-data", data, "--data-seed", "-1",
+                     *out_flag)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: data seed must be >= 0, got -1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]  # no --out, no output
+
     @pytest.mark.parametrize("jobs, cells, workers", [(8, 2, 2), (2, 3, 2), (3, 3, 3)])
     def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch, jobs, cells,
                                                  workers):
-        import clspool.cli as cli
         started = []
 
         class Recorder:  # stands in for the pool, so no process starts
@@ -413,7 +432,7 @@ class TestRunSettingRefusals:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         heads = ["baseline", "mha:h=2", "maxcls:k=2"][:cells]
         rc = run_cli("compare", "--task", "pattern", *TINY,
                      *[a for h in heads for a in ("--head", h)], "--seed", "1",
@@ -1098,6 +1117,36 @@ def test_subprocess_entrypoint(tmp_path):
     result = subprocess.run([sys.executable, "-m", "clspool", "train"],
                             capture_output=True, text=True)
     assert result.returncode == 2
+
+
+POOL_MODULES = ("concurrent.futures.process", "concurrent.futures.thread")
+
+
+def _pool_modules_loaded(tmp_path, *argv) -> list[str]:
+    """The POOL_MODULES a fresh interpreter holds after it imports the package's
+    modules and runs ``clspool argv`` through cli.main."""
+    script = ("import sys\n"
+              "from clspool import cli, data, heads, training\n"
+              f"assert cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0\n"
+              f"print('pool modules:', *[m for m in {POOL_MODULES!r} if m in sys.modules])\n")
+    src = Path(ac.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    label, _, loaded = result.stdout.splitlines()[-1].partition(":")
+    assert label == "pool modules"
+    return loaded.split()
+
+
+def test_only_a_pool_loads_the_pool_modules(tmp_path):
+    """A train run and a serial grid leave the process and thread pool modules
+    unloaded; a --jobs 2 grid loads the process pool."""
+    assert _pool_modules_loaded(tmp_path / "train", "train", "--task", "pattern",
+                                *TINY) == []
+    grid = ["compare", "--task", "pattern", *TINY, "--head", "baseline", "--head", "mha:h=2"]
+    assert _pool_modules_loaded(tmp_path / "serial", *grid, "--jobs", "1") == []
+    assert "concurrent.futures.process" in \
+        _pool_modules_loaded(tmp_path / "pool", *grid, "--jobs", "2")
 
 
 def test_reruns_with_blas_threads_unpinned_write_identical_checkpoints(tmp_path):
