@@ -34,7 +34,6 @@ __all__ = [
     "mean_over_axis0",
     "select_max_norm_axis0",
     "layer_norm",
-    "gelu",
     "feed_forward",
     "dropout",
     "attention",
@@ -417,7 +416,7 @@ def _gelu(x: np.ndarray, t: np.ndarray | None = None) -> tuple[np.ndarray, np.nd
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * gelu'(x) from x and the tanh term t."""
+    """g * gelu'(x) from x and the tanh term t, the exact derivative of the tanh form."""
     # g * (0.5*(1 + t) + 0.5*x * (1 - t**2) * C*(1 + 3*A * (x*x))), in place in that
     # order; x*x is recomputed (keeping it would hold one more array per call) into
     # the buffer that held 0.5*x, so two buffers of x's size are alive beside g
@@ -435,13 +434,6 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     dy += b
     dy *= g
     return dy
-
-
-def gelu(x: Array) -> Array:
-    """Tanh-form GELU; the backward is the exact derivative of this form."""
-    xd = x.data
-    out, t = _gelu(xd)
-    return _make("gelu", out, (x,), lambda g: (_gelu_grad(xd, t, g),))
 
 
 def feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> Array:
@@ -467,8 +459,7 @@ def feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> Array:
     y += b2.data
 
     def bwd(g):
-        # a is rebuilt only once dh has been used and freed, so that no more
-        # (..., f) arrays are alive at once than in gelu's own backward
+        # a is rebuilt once dh is freed, so it never sits beside _gelu_grad's buffers
         dh = _gelu_grad(h, t, g @ w2d.T)
         grads = (dh @ w1d.T, xd.reshape(-1, d).T @ dh.reshape(-1, f),
                  dh.reshape(-1, f).sum(axis=0))

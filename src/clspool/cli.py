@@ -10,10 +10,10 @@ Subcommands::
     eval       score a saved checkpoint on a task or data file
 
 Exit codes: 0 success, 2 usage/configuration error, 1 runtime error. Flags
-override config-file values (flat ``key=value`` lines); the env var
-CLSPOOL_SEED supplies the default seed. Every table and CSV is a deterministic
-function of (config, seeds): rows follow the given head/seed order, and
-parallel workers (--jobs) only change wall time, not output bytes.
+override config-file values (flat ``key=value`` lines); the env var CLSPOOL_SEED
+supplies the default seed of train, compare, ablate-k and lowres. Every table and
+CSV is a deterministic function of (config, seeds): rows follow the given
+head/seed order, and parallel workers (--jobs) only change wall time, not bytes.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ __all__ = [
     "init_head_params",
     "cls_attend",
     "aggregate",
-    "classify",
     "head_forward",
 ]
 
@@ -215,11 +214,6 @@ def aggregate(kind: HeadKind, stack: LayerStack, params: HeadParams) -> Array:
     return cls
 
 
-def classify(rep: Array, w_cls: Array, b_cls: Array) -> Array:
-    """Linear classification head; C = 1 covers regression tasks."""
-    return ac.add(ac.matmul(rep, w_cls), b_cls)
-
-
 def head_forward(kind: HeadKind, stack: LayerStack, params: HeadParams) -> Array:
-    """Logits of one head: its aggregate, then the linear classifier."""
-    return classify(aggregate(kind, stack, params), params.w_cls, params.b_cls)
+    """Logits of one head: its aggregate, then a linear classifier (C = 1 for regression)."""
+    return ac.add(ac.matmul(aggregate(kind, stack, params), params.w_cls), params.b_cls)

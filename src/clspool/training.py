@@ -17,6 +17,7 @@ import ctypes
 import functools
 import os
 import struct
+import sys
 import time
 import zlib
 from contextvars import Context, copy_context
@@ -271,10 +272,10 @@ def _eval_threads(dataset: list[Example], batch_size: int, d_model: int) -> int:
     on, at most one per batch. One in a process that multiprocessing started
     (a --jobs grid worker, where the pool already keeps each core busy), and
     one for batches below MIN_THREADED_BATCH_VALUES on average."""
-    import multiprocessing  # loaded by the first evaluate, not by every import
+    mp = sys.modules.get("multiprocessing")  # loaded in every process it started
     batches = len(range(0, len(dataset), batch_size))
     values = d_model * sum(len(ex.token_ids) for ex in dataset)
-    if multiprocessing.parent_process() is not None or \
+    if (mp is not None and mp.parent_process() is not None) or \
             values < MIN_THREADED_BATCH_VALUES * batches:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

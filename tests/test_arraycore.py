@@ -294,11 +294,13 @@ class TestLayerNorm:
 
 class TestSmallOps:
     def test_gelu_zero(self):
-        assert ac.gelu(array([0.0])).data[0] == 0.0
+        assert ac._gelu(np.array([0.0]))[0][0] == 0.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_keeps_dtype(self, dtype):
-        assert ac.gelu(ac.Array(np.linspace(-3, 3, 7, dtype=dtype))).data.dtype == dtype
+        x = np.linspace(-3, 3, 7, dtype=dtype)
+        out, t = ac._gelu(x)
+        assert out.dtype == t.dtype == ac._gelu_grad(x, t, np.ones_like(x)).dtype == dtype
 
     def test_gelu_float32_matches_float64_formula(self):
         rng = np.random.default_rng(3)
@@ -308,7 +310,7 @@ class TestSmallOps:
         x64 = x.astype(np.float64)
         ref = 0.5 * x64 * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
                                          * (x64 + 0.044715 * x64 ** 3)))
-        out = ac.gelu(ac.Array(x)).data
+        out, _ = ac._gelu(x)
         # the output is x * Phi(x); its rounding error scales with |x|
         assert np.all(np.abs(out - ref) <= 4 * np.spacing(np.abs(x)))
         assert out[x == 0.0].tolist() == [0.0]
@@ -540,10 +542,10 @@ def _random_op_cases(rng):
         wrap(lambda: ac.mean_over_axis0(theta), theta),
         wrap(lambda: ac.select_max_norm_axis0(theta), theta),
         wrap(lambda: ac.layer_norm(x, gain, bias), [x, gain, bias]),
-        wrap(lambda: ac.gelu(x), [x]),
-        wrap(lambda: ac.dropout(x, 0.3, np.random.default_rng(dropout_seed)), [x]),
     ]
-    rng.normal(size=(t * d, 1))  # the weights of that deleted (t, d) case
+    rng.normal(size=(t * d, 1))  # the weights of a deleted (t, d) case
+    cases.append(wrap(lambda: ac.dropout(x, 0.3, np.random.default_rng(dropout_seed)), [x]))
+    rng.normal(size=(t * d, 1))  # and those of another
     cases += [
         wrap(lambda: ac.attention(aq, ak, av, key_mask, h), [aq, ak, av]),
         wrap(lambda: ac.attention(q1, bk, bv, batch_mask, 2), [q1, bk, bv]),
@@ -591,10 +593,11 @@ def test_tape_records_each_op_in_topological_order():
     rng = np.random.default_rng(4)
     x, w = array(rng.normal(size=(3, 4))), array(rng.normal(size=(4, 4)))
     gain, bias = array(np.ones(4)), array(np.zeros(4))
-    h = ac.layer_norm(ac.gelu(ac.matmul(x, w)), gain, bias)
+    h = ac.layer_norm(ac.feed_forward(ac.matmul(x, w), w, bias, w, bias), gain, bias)
     root = ac.sum_all(ac.add(h, h))
     tape = ac.Tape.trace(root)
-    assert [n.op for n in tape.nodes] == ["matmul", "gelu", "layer_norm", "add", "sum_all"]
+    assert [n.op for n in tape.nodes] == ["matmul", "feed_forward", "layer_norm", "add",
+                                          "sum_all"]
     assert tape.nodes[-1] is root.node
 
 
@@ -602,8 +605,8 @@ def test_dropped_graph_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        x = array(np.ones((2, 3)))
-        root = ac.sum_all(ac.gelu(ac.matmul(x, array(np.ones((3, 3))))))
+        x, w, b = array(np.ones((2, 3))), array(np.ones((3, 3))), array(np.zeros(3))
+        root = ac.sum_all(ac.feed_forward(ac.matmul(x, w), w, b, w, b))
         backward(root)
         del root
         assert gc.collect() == 0
@@ -636,7 +639,6 @@ def _one_call_per_op(rng):
         "mean_over_axis0": lambda: ac.mean_over_axis0(theta),
         "select_max_norm_axis0": lambda: ac.select_max_norm_axis0(theta),
         "layer_norm": lambda: ac.layer_norm(x, v, v),
-        "gelu": lambda: ac.gelu(x),
         "feed_forward": lambda: ac.feed_forward(x, w, v, w, v),
         "dropout": lambda: ac.dropout(x, 0.5, np.random.default_rng(0)),
         "attention": lambda: ac.attention(keys, keys, keys, mask, 2),
@@ -674,10 +676,11 @@ class TestNoGrad:
     def test_backward_from_an_unrecorded_result_reaches_no_leaf(self):
         rng = np.random.default_rng(2)
         x, w = array(rng.normal(size=(3, 4))), array(rng.normal(size=(4, 4)))
+        b = array(rng.normal(size=4))
         with ac.no_grad():
-            root = ac.sum_all(ac.gelu(ac.matmul(x, w)))
+            root = ac.sum_all(ac.feed_forward(ac.matmul(x, w), w, b, w, b))
         backward(root)
-        assert x.grad is None and w.grad is None
+        assert x.grad is None and w.grad is None and b.grad is None
 
     def test_debug_checks_still_run(self):
         ac.set_debug_checks(True)
@@ -689,9 +692,9 @@ class TestNoGrad:
 
 
 class TestInPlaceKernels:
-    """gelu's and attention's kernels work in place and layer_norm takes its
-    means as sum / d; every bit stays as the expressions in tests/oracles.py
-    give it."""
+    """gelu's kernels (feed_forward's activation) and attention's work in place
+    and layer_norm takes its means as sum / d; every bit stays as the
+    expressions in tests/oracles.py give it."""
 
     def test_gelu_matches_out_of_place_expressions_bitwise(self):
         rng = np.random.default_rng(11)
@@ -701,12 +704,13 @@ class TestInPlaceKernels:
         x = x.astype(np.float32)
         g = rng.normal(size=x.shape).astype(np.float32)
         want, want_grad = gelu_oracle(x, g)
-        leaf = ac.Array(x.copy())
-        out = ac.gelu(leaf)
-        backward(out, seed=g)
-        assert out.data.tobytes() == want.tobytes()
-        assert leaf.grad.tobytes() == want_grad.tobytes()
-        assert leaf.data.tobytes() == x.tobytes()  # the input is never written
+        for a in (x, g):
+            a.flags.writeable = False  # a write into an input raises
+        out, t = ac._gelu(x)
+        assert out.tobytes() == want.tobytes()
+        t.flags.writeable = False
+        assert ac._gelu(x, t)[0].tobytes() == want.tobytes()  # rebuilt from the tanh term
+        assert ac._gelu_grad(x, t, g).tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("lead,tq,t,h,case", [
         pytest.param((4,), 6, 6, 2, "masked", id="lead0-6-6-2"),
@@ -777,21 +781,22 @@ class TestInPlaceKernels:
             g = rng.normal(size=shape).astype(np.float32)
             if g_layout == "strided":  # the same values in another memory order
                 g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, 0, 1)), 0, 1)
-            leaf = ac.Array(x.copy())
+            x.flags.writeable = False  # the input is never written
             if shape[-1] == 128:
-                want, want_grads = gelu_oracle(x, g)
-                want_grads = (want_grads,)
-                leaves, out = [leaf], ac.gelu(leaf)
+                want, want_grad = gelu_oracle(x, g)
+                out, t = ac._gelu(x)
+                want_grads, grads = (want_grad,), (ac._gelu_grad(x, t, g),)
             else:
                 gain, bias = (rng.normal(size=shape[-1]).astype(np.float32) for _ in range(2))
                 want, want_grads = layer_norm_oracle(x, gain, bias, g)
-                leaves = [leaf, ac.Array(gain.copy()), ac.Array(bias.copy())]
+                leaves = [ac.Array(x.copy()), ac.Array(gain.copy()), ac.Array(bias.copy())]
                 out = ac.layer_norm(*leaves)
-            backward(out, seed=g)
-            assert out.data.tobytes() == want.tobytes(), shape
-            for got, want_grad in zip(leaves, want_grads):
-                assert got.grad.tobytes() == want_grad.tobytes(), shape
-            assert leaf.data.tobytes() == x.tobytes()  # the input is never written
+                backward(out, seed=g)
+                out, grads = out.data, [leaf.grad for leaf in leaves]
+                assert leaves[0].data.tobytes() == x.tobytes()
+            assert out.tobytes() == want.tobytes(), shape
+            for got, want_grad in zip(grads, want_grads):
+                assert got.tobytes() == want_grad.tobytes(), shape
 
 
 class TestFeedForward:
@@ -960,8 +965,11 @@ def _aliasing_graphs():
     def score(a, l):  # a non-uniform functional, so every gradient element counts
         return ac.sum_all(ac.matmul(a, l["r"]))
 
+    def ff(a, l):  # a recorded op of one array and its own weights
+        return ac.feed_forward(a, l["w_in"], l["b_in"], l["w_out"], l["b_out"])
+
     def pooled(l):  # add hands both means one buffer; each mean returns one buffer thrice
-        h, k = ac.gelu(ac.matmul(l["x"], l["w"])), ac.gelu(l["y"])
+        h, k = ff(ac.matmul(l["x"], l["w"]), l), ff(l["y"], l)
         ln = ac.layer_norm(h, l["gain"], l["bias"])
         return score(ac.add(ac.mean_over_axis0([h, h, ln]), ac.mean_over_axis0([k, k, k])), l)
 
@@ -969,15 +977,15 @@ def _aliasing_graphs():
         return ac.add(ac.add(a, b), a)
 
     def self_add(l):
-        h = ac.gelu(l["x"])
+        h = ff(l["x"], l)
         return score(ac.add(h, h), l)
 
     def diamond(l):
-        h = ac.gelu(l["x"])
-        return score(ac.gelu(ac.add(ac.matmul(h, l["w"]), ac.matmul(h, l["w2"]))), l)
+        h = ff(l["x"], l)
+        return score(ff(ac.add(ac.matmul(h, l["w"]), ac.matmul(h, l["w2"])), l), l)
 
     def three_way_fan_out(l):
-        h = ac.gelu(l["x"])
+        h = ff(l["x"], l)
         return score(ac.add(ac.matmul(h, l["w"]), ac.add(ac.matmul(h, l["w2"]), h)), l)
 
     return {
@@ -988,9 +996,9 @@ def _aliasing_graphs():
         "mean-of-one-array-twice": pooled,
         "leaves-sharing-a-buffer": lambda l: score(shared_buffer(l["x"], l["y"]), l),
         "op-outputs-sharing-a-buffer": lambda l: score(
-            shared_buffer(ac.gelu(l["x"]), ac.gelu(l["y"])), l),
+            shared_buffer(ff(l["x"], l), ff(l["y"], l)), l),
         "leaf-used-by-two-ops": lambda l: score(ac.add(ac.matmul(l["x"], l["w"]), ac.add(
-            ac.gelu(l["x"]), ac.slice_rows(l["y"], 0, 3))), l),
+            ff(l["x"], l), ac.slice_rows(l["y"], 0, 3))), l),
     }
 
 
@@ -999,7 +1007,8 @@ ALIASING_GRAPHS = sorted(_aliasing_graphs())
 
 def _aliasing_leaves(rng, dtype):
     shapes = {"x": (3, 4), "y": (3, 4), "w": (4, 4), "w2": (4, 4), "r": (4, 1),
-              "gain": (4,), "bias": (4,)}
+              "gain": (4,), "bias": (4,), "w_in": (4, 6), "b_in": (6,), "w_out": (6, 4),
+              "b_out": (4,)}
     return {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
 
 
@@ -1057,12 +1066,13 @@ class TestFreeingBackward:
         assert _same_grads(twice, fresh)
 
     def test_a_gradient_of_another_dtype_is_cast_to_its_op_output(self):
-        def build(l):  # hands the float64 gelu output a float32 gradient
-            h = ac.gelu(l["x"])
+        def build(l):  # hands the float64 layer_norm output a float32 gradient
+            h = ac.layer_norm(l["x"], l["gain"], l["bias"])
             return Array(np.zeros(()), node=ac.Node(
                 "to_float32", (h,), lambda g: (np.full(h.shape, 0.1, np.float32),)))
 
-        values = {"x": np.array([[1.0, -2.0, 0.5]])}
+        values = {"x": np.array([[1.0, -2.0, 0.5]]), "gain": np.array([0.5, 2.0, -1.0]),
+                  "bias": np.zeros(3)}
         got, _ = _run_into_fresh_leaves(values, build, backward)
         want, _ = _run_into_fresh_leaves(values, build, run_backward_oracle)
         assert got["x"].grad.dtype == np.float64 and _same_grads(got, want)

@@ -1,8 +1,10 @@
 import argparse
 import concurrent.futures
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -966,6 +968,14 @@ class TestGradcheckCommand:
             elif line.startswith(("baseline", "mha", "meanseq", "normseq")):
                 assert "PASS" in line
 
+    def test_does_not_read_the_env_seed(self, monkeypatch, capsys):
+        monkeypatch.delenv("CLSPOOL_SEED", raising=False)
+        assert run_cli("gradcheck") == 0
+        unset = capsys.readouterr()
+        monkeypatch.setenv("CLSPOOL_SEED", "-1")  # a value train refuses with exit 2
+        assert run_cli("gradcheck") == 0
+        assert capsys.readouterr() == unset
+
     @pytest.mark.parametrize("argv, message", [
         (["--seed", "1", "--seed", "2"], "gradcheck runs a single seed; pass exactly one --seed"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
@@ -1119,7 +1129,7 @@ def test_subprocess_entrypoint(tmp_path):
     assert result.returncode == 2
 
 
-POOL_MODULES = ("concurrent.futures.process", "concurrent.futures.thread")
+POOL_MODULES = ("concurrent.futures.process", "concurrent.futures.thread", "multiprocessing")
 
 
 def _pool_modules_loaded(tmp_path, *argv) -> list[str]:
@@ -1140,13 +1150,29 @@ def _pool_modules_loaded(tmp_path, *argv) -> list[str]:
 
 def test_only_a_pool_loads_the_pool_modules(tmp_path):
     """A train run and a serial grid leave the process and thread pool modules
-    unloaded; a --jobs 2 grid loads the process pool."""
+    and multiprocessing unloaded, though both evaluate; a --jobs 2 grid loads
+    the process pool."""
     assert _pool_modules_loaded(tmp_path / "train", "train", "--task", "pattern",
                                 *TINY) == []
     grid = ["compare", "--task", "pattern", *TINY, "--head", "baseline", "--head", "mha:h=2"]
     assert _pool_modules_loaded(tmp_path / "serial", *grid, "--jobs", "1") == []
     assert "concurrent.futures.process" in \
         _pool_modules_loaded(tmp_path / "pool", *grid, "--jobs", "2")
+
+
+def test_every_name_a_module_exports_resolves():
+    """Every ``__all__`` entry of every clspool module is an attribute of it:
+    perfbench's tracer looks each one up with getattr, even in an untraced
+    run, so one stale entry would fail every benchmark repetition."""
+    import clspool
+    modules = [importlib.import_module(f"clspool.{info.name}")
+               for info in pkgutil.iter_modules(clspool.__path__)
+               if info.name != "__main__"]  # importing __main__ runs the CLI
+    exporting = {m.__name__: m for m in modules if hasattr(m, "__all__")}
+    assert {"clspool.arraycore", "clspool.encoder", "clspool.heads",
+            "clspool.training"} <= set(exporting)
+    for name, module in exporting.items():
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
 
 
 def test_reruns_with_blas_threads_unpinned_write_identical_checkpoints(tmp_path):

@@ -13,7 +13,6 @@ from clspool.heads import (
     HeadParams,
     SliceError,
     aggregate,
-    classify,
     cls_attend,
     head_forward,
     init_head_params,
@@ -283,21 +282,30 @@ class TestMhaHeads:
             assert np.all(sel_norms >= np.sqrt((y.data ** 2).sum(-1)) - 1e-12)
 
 
-class TestClassify:
+def classify_cls(cls_row, w_cls, b_cls):
+    """head_forward's linear classifier over a one-layer stack whose [CLS] row is
+    cls_row; its second row holds other values, which the classifier must not read."""
+    cls_row = np.asarray(cls_row, dtype=float)
+    stack = LayerStack(activations=[Array(np.stack([cls_row, 7.0 - 3.0 * cls_row]))],
+                       mask=np.ones(2))
+    params = HeadParams(w_cls=Array(np.asarray(w_cls, dtype=float)),
+                        b_cls=Array(np.asarray(b_cls, dtype=float)))
+    return head_forward(HeadKind("baseline"), stack, params)
+
+
+class TestClassifier:
     def test_zero_weights(self):
-        out = classify(Array(np.ones((1, 4))), Array(np.zeros((4, 3))),
-                       Array(np.zeros(3)))
+        out = classify_cls(np.ones(4), np.zeros((4, 3)), np.zeros(3))
         assert np.all(out.data == 0.0)
 
     def test_fixed_example(self):
-        rep = Array(np.array([[1.0, 2.0]]))
-        w = Array(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        b = Array(np.array([0.5, -0.5]))
-        assert classify(rep, w, b).data.tolist() == [[1.5, 1.5]]
+        out = classify_cls([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, -0.5])
+        assert out.data.tolist() == [[1.5, 1.5]]
+        # the aggregate, then the classifier's two nodes: matmul, then add
+        assert [n.op for n in ac.Tape.trace(out).nodes] == ["slice_rows", "matmul", "add"]
 
     def test_regression_shape(self):
-        out = classify(Array(np.ones((1, 4))), Array(np.ones((4, 1))),
-                       Array(np.zeros(1)))
+        out = classify_cls(np.ones(4), np.ones((4, 1)), np.zeros(1))
         assert out.shape == (1, 1)
 
 

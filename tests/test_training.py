@@ -896,6 +896,29 @@ class TestThreadedEvaluate:
             assert pool.submit(_eval_threads, self._rows(640, 24), 64, 32).result() == 1
 
 
+@pytest.mark.parametrize("spec, attends", [
+    ("baseline", 0), ("maxcls:k=3", 0), ("mha:h=2", 1), ("maxseq+mha:k=3,h=2", 1),
+    ("meanseq+mha:k=3,h=2", 1), ("normseq+mha:k=3,h=2", 1),
+])
+def test_the_functions_the_benchmark_times_stay_on_the_forward_path(monkeypatch, spec,
+                                                                     attends):
+    """perfbench times encoder.self_attention and heads.cls_attend by patching
+    those module names; a forward that stopped calling them through those names
+    would read 0 s there."""
+    import clspool.encoder as encoder
+    import clspool.heads as heads
+    calls = {"self_attention": 0, "cls_attend": 0}
+    for module, name in ((encoder, "self_attention"), (heads, "cls_attend")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    model = build_model(small_cfg(head=parse_head_spec(spec), n_layers=4), 2)
+    ids, mask, _ = pad_batch(small_task(train_size=4, eval_size=4)[0])
+    model.forward(ids, mask)
+    assert calls == {"self_attention": 4, "cls_attend": attends}
+
+
 class TestGraphLifetime:
     """evaluate records no graph; train frees each step's graph before the
     next forward builds one."""
