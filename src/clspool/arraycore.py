@@ -399,10 +399,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu(x: np.ndarray, t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _gelu(x: np.ndarray, t: np.ndarray | None = None,
+          spend: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """(gelu(x), t) with t the tanh term: in place, in the order of
     0.5*x * (1 + tanh(C*(x + A*((x*x)*x)))). Given the t it returned, it
-    rebuilds the same output bit for bit."""
+    rebuilds the same output bit for bit. With ``spend`` it writes gelu(x) into
+    x and 1 + t into t, and returns (x, None): two buffers of x's size, not four."""
     if t is None:
         t = x * x  # x ** 3 would take numpy's pow path, 100x slower on float32
         t *= x
@@ -410,6 +412,11 @@ def _gelu(x: np.ndarray, t: np.ndarray | None = None) -> tuple[np.ndarray, np.nd
         t += x
         t *= _GELU_C
         np.tanh(t, out=t)
+    if spend:  # the operations and operands below, written into x and t
+        t += 1.0
+        x *= 0.5
+        x *= t
+        return x, None
     out = 0.5 * x
     out *= 1.0 + t
     return out, t
@@ -444,6 +451,7 @@ def feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> Array:
     the output and of the gradients is the chain's. Its node saves x, the
     pre-activation h and gelu's tanh term t, but not the activation a that w2's
     gradient reads: backward rebuilds a from h and t as the forward built it.
+    Under no_grad nothing keeps them: gelu overwrites h, and t is freed before a @ w2.
     """
     if x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] \
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]:
@@ -454,7 +462,7 @@ def feed_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> Array:
     xd, w1d, w2d = x.data, w1.data, w2.data
     h = xd @ w1d
     h += b1.data
-    a, t = _gelu(h)
+    a, t = _gelu(h, spend=not _recording)
     y = a @ w2d
     y += b2.data
 

@@ -37,6 +37,7 @@ from .data import (
     gen_synthetic,
     load_jsonl,
     load_vocab,
+    read_utf8,
     subsample,
 )
 from .encoder import EncoderConfig
@@ -157,7 +158,7 @@ def _input_file(flag: str):
     """Turn a failure to read the file a flag names into a usage error."""
     try:
         yield
-    except (OSError, UnicodeDecodeError) as err:
+    except OSError as err:
         raise CliError(f"cannot read {flag} file: {err}") from err
 
 
@@ -165,7 +166,7 @@ def _read_config_file(path: str) -> dict:
     """ExperimentConfig values from flat key=value lines (comma lists for the
     list fields)."""
     with _input_file("--config"):
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path)
     by_name = {f.name: f for f in fields(ExperimentConfig)}
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):

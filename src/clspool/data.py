@@ -40,6 +40,7 @@ __all__ = [
     "tokenize",
     "load_jsonl",
     "load_vocab",
+    "read_utf8",
     "gen_synthetic",
     "subsample",
     "TASK_PRESETS",
@@ -57,7 +58,7 @@ MAX_SYNTHETIC_SIZE = 1_000_000
 
 
 class SchemaError(ValueError):
-    """A dataset file line does not match the expected schema."""
+    """A line of an input file (data, vocabulary or config) is not what it must hold."""
 
 
 @dataclass
@@ -81,10 +82,20 @@ class Vocab:
         return self.token_to_id.get(token, UNK_ID)
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 raise SchemaError
+    naming the place as "<file name>:<line>"."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no = blob.count(b"\n", 0, err.start) + 1
+        raise SchemaError(f"{Path(path).name}:{line_no}: not valid UTF-8") from None
+
+
 def load_vocab(path) -> Vocab:
     """Vocabulary file: one token per line, id = line index + 4."""
-    tokens = Path(path).read_text(encoding="utf-8").splitlines()
-    return Vocab.from_tokens(tokens)
+    return Vocab.from_tokens(read_utf8(path).splitlines())
 
 
 @dataclass
@@ -151,13 +162,7 @@ def load_jsonl(path, vocab: Vocab | None = None,
     and every example records that as its ``source``. Whether integer labels are
     class labels is decided where the loss is known, not here.
     """
-    blob = Path(path).read_bytes()
-    name = Path(path).name
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line_no = blob.count(b"\n", 0, err.start) + 1
-        raise SchemaError(f"{name}:{line_no}: not valid UTF-8")
+    text, name = read_utf8(path), Path(path).name
     examples: list[Example] = []
     schema_seen: str | None = None
     for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):

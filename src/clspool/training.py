@@ -374,7 +374,9 @@ def _infer_n_classes(cfg: TrainConfig, train_set, eval_set) -> int:
 
 def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example]
           ) -> tuple[Model, TrainResult]:
-    """Run the fine-tuning loop, in float32; deterministic given (cfg, data)."""
+    """Run the fine-tuning loop, in float32; deterministic given (cfg, data).
+    The optimizer state is freed before the closing evaluations: the returned
+    model's parameters carry no .grad, and each .data is a view of one buffer."""
     if not train_set or not eval_set:
         raise TrainingError("train: datasets must be nonempty")
     check_labels(train_set, "training", cfg.loss)
@@ -414,6 +416,10 @@ def train(cfg: TrainConfig, train_set: list[Example], eval_set: list[Example]
         diverged = [name for name, p in named if not np.all(np.isfinite(p.data))]
         raise TrainingError(f"non-finite values in {len(diverged)} of {len(named)} "
                             f"parameters after training (first: '{diverged[0]}')")
+    # nothing reads a gradient or an AdamW moment again; opt.data outlives opt
+    for _, p in named:
+        p.grad = None
+    del opt
 
     eval_metrics = evaluate(model, eval_set)
     train_metrics = evaluate(model, train_set)

@@ -711,6 +711,9 @@ class TestInPlaceKernels:
         t.flags.writeable = False
         assert ac._gelu(x, t)[0].tobytes() == want.tobytes()  # rebuilt from the tanh term
         assert ac._gelu_grad(x, t, g).tobytes() == want_grad.tobytes()
+        spent = x.copy()  # no_grad's path: written into its own input
+        out, t = ac._gelu(spent, spend=True)
+        assert out is spent and t is None and out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lead,tq,t,h,case", [
         pytest.param((4,), 6, 6, 2, "masked", id="lead0-6-6-2"),
@@ -833,6 +836,27 @@ class TestFeedForward:
             assert ac.feed_forward(*leaves).data.tobytes() == want.tobytes()
         for leaf, a in zip(leaves, inputs):  # no input is ever written
             assert leaf.data.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f", [128, 20])
+    @pytest.mark.parametrize("shape", [(4, 8, 32), (64, 17, 32), (16, 48, 32)],
+                             ids=["train-b4", "eval-t17", "grid-t48"])
+    def test_no_grad_returns_the_recorded_output_bitwise(self, dtype, f, shape):
+        # under no_grad gelu runs in place in the op's own pre-activation
+        rng = np.random.default_rng(23)
+        d = shape[-1]
+        inputs = [rng.normal(size=shape), rng.normal(0.0, 0.3, size=(d, f)),
+                  rng.normal(0.0, 0.1, size=f), rng.normal(0.0, 0.3, size=(f, d)),
+                  rng.normal(0.0, 0.1, size=d)]
+        leaves = [ac.Array(a.astype(dtype)) for a in inputs]
+        for leaf in leaves:
+            leaf.data.flags.writeable = False  # a write into an input raises
+        recorded = ac.feed_forward(*leaves)
+        assert recorded.node is not None
+        with ac.no_grad():
+            out = ac.feed_forward(*leaves)
+        assert out.node is None and out.dtype == dtype
+        assert out.data.tobytes() == recorded.data.tobytes()
 
     @pytest.mark.parametrize("shapes", [
         [(3,), (3, 5), (5,), (5, 2), (2,)],  # x without a row axis

@@ -154,13 +154,15 @@ class TestExitCodes:
         assert run_cli("train", "--task", "nope", "--head", "baseline",
                        "--out", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("flag, content", [
-        ("--config", None), ("--data", None), ("--eval-data", None), ("--vocab", None),
-        ("--ckpt", None), ("--config", "task=pattern\n".encode("utf-16")),
-        ("--vocab", b"a\n\xff\n"),
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--config", None, None), ("--data", None, None), ("--eval-data", None, None),
+        ("--vocab", None, None), ("--ckpt", None, None),
+        ("--config", "task=pattern\n".encode("utf-16"), "unreadable:1: not valid UTF-8"),
+        ("--vocab", b"a\n\xff\n", "unreadable:2: not valid UTF-8"),
     ], ids=["--config", "--data", "--eval-data", "--vocab", "--ckpt", "--config-utf16",
             "--vocab-byte-ff"])
-    def test_unreadable_input_file_is_usage_error(self, tmp_path, capsys, flag, content):
+    def test_unreadable_input_file_is_usage_error(self, tmp_path, capsys, flag, content,
+                                                  message):
         (tmp_path / "vocab.txt").write_text("a\nb\n", encoding="utf-8")
         rows = [{"text": "a b", "label": i % 2} for i in range(4)]
         files = {"--data": _write_jsonl(tmp_path / "tr.jsonl", rows),
@@ -178,7 +180,61 @@ class TestExitCodes:
             argv = ["train", *[a for item in files.items() for a in item], *TINY,
                     "--head", "baseline", "--seed", "1", "--out", str(tmp_path / "out")]
         assert run_cli(*argv) == 2
-        assert f"cannot read {flag} file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot read {flag} file" in err if message is None \
+            else err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, failure", [
+        *[(flag, failure) for flag in ("--config", "--data", "--eval-data", "--vocab")
+          for failure in ("directory", "missing", "not-utf8")],
+        *[(flag, "empty") for flag in ("--data", "--eval-data", "--ckpt")],
+        ("--ckpt", "directory"), ("--ckpt", "missing"),
+    ])
+    def test_a_file_flag_fails_alike_in_every_subcommand(self, tmp_path, capsys, flag,
+                                                         failure):
+        """Every subcommand that takes the flag exits 2 with the same one error
+        line and writes nothing."""
+        (tmp_path / "vocab.txt").write_text("a\nb\n", encoding="utf-8")
+        rows = [{"text": "a b", "label": i % 2} for i in range(4)]
+        files = {"--data": _write_jsonl(tmp_path / "tr.jsonl", rows),
+                 "--eval-data": _write_jsonl(tmp_path / "ev.jsonl", rows),
+                 "--vocab": str(tmp_path / "vocab.txt"), "--ckpt": str(tmp_path / "m.ckpt")}
+        cfg = TrainConfig(encoder=EncoderConfig(vocab_size=30, num_layers=2, d_model=16,
+                                                num_heads_encoder=2),
+                          head=HeadKind("baseline"), learning_rate=1e-3)
+        save_checkpoint(files["--ckpt"], build_model(cfg, 2), cfg)
+        bad = tmp_path / "bad.txt"
+        if failure == "directory":
+            bad.mkdir()
+        elif failure != "missing":
+            bad.write_bytes(b"" if failure == "empty" else b"a\n\xff\n")
+        if failure in ("directory", "missing"):
+            with pytest.raises(OSError) as err:
+                bad.read_bytes()
+            message = f"cannot read {flag} file: {err.value}"
+        elif failure == "not-utf8":
+            message = "bad.txt:2: not valid UTF-8"
+        else:
+            message = "format error: bad magic bytes" if flag == "--ckpt" \
+                else f"{flag} file {bad} holds no examples"
+        files[flag] = str(bad)
+        ckpt = files.pop("--ckpt")
+        before = sorted(tmp_path.rglob("*"))
+        out = str(tmp_path / "out")
+        commands = {"train": ["--head", "baseline", "--seed", "1", *TINY, "--out", out],
+                    "compare": ["--head", "baseline", "--head", "mha:h=2", *TINY, "--out", out],
+                    "ablate-k": ["--head", "maxseq+mha:h=2", *TINY, "--out", out],
+                    "lowres": ["--head", "baseline", "--head", "mha:h=2", "--size", "2", *TINY,
+                               "--out", out],
+                    "eval": ["--ckpt", ckpt, *TINY_DATA]}
+        for command, argv in commands.items():
+            if flag == "--ckpt" and command != "eval":
+                continue
+            rc = run_cli(command, *[a for item in files.items() for a in item], *argv)
+            captured = capsys.readouterr()
+            assert (command, rc, captured.out, captured.err) == \
+                (command, 2, "", f"error: {message}\n")
+            assert sorted(tmp_path.rglob("*")) == before
 
     def test_negative_class_label_stops_compare_at_load(self, tmp_path, capsys):
         rows = [{"tokens": [5, 6], "label": -1 if i == 2 else i % 2} for i in range(8)]
