@@ -23,7 +23,7 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from io import StringIO
 from pathlib import Path
@@ -305,31 +305,29 @@ def _run_cell(cell: tuple) -> dict:
     return _run_record(task, head_spec, cfg.seed, result)
 
 
-def _run_alone(cell: tuple) -> dict:
-    """Run a cell once more, alone in a fresh one-worker pool; if that worker
-    dies too, the cell's error record."""
+def _pooled(cells: list[tuple], workers: int):
+    """The records of ``cells`` run on a pool of ``workers`` processes, in cell
+    order. Once a worker process dies the pool gives back nothing more, so the
+    broken pool is left and each cell that has not come back is run again alone
+    in a fresh one-worker pool; a cell whose lone worker dies too gets an error
+    record. The pool machinery loads only here, in a process that starts a pool."""
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        try:
-            return pool.submit(_run_cell, cell).result()
-        except BrokenProcessPool:
-            return _error_record(cell, "its worker process died before the run finished")
-
-
-def _records(returned, cells: list[tuple]):
-    """The records ``returned`` yields, in cell order. Once a worker process
-    dies the pool gives back nothing more, so each cell that has not come back
-    is run again alone."""
     from concurrent.futures.process import BrokenProcessPool
     done = 0
     try:
-        for record in returned:
-            done += 1
-            yield record
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for record in pool.map(_run_cell, cells):
+                done += 1
+                yield record
     except BrokenProcessPool:
-        for cell in cells[done:]:
-            yield _run_alone(cell)
+        pass
+    for cell in cells[done:]:
+        with ProcessPoolExecutor(max_workers=1) as alone:
+            rerun = alone.submit(_run_cell, cell)
+        try:
+            yield rerun.result()
+        except BrokenProcessPool:
+            yield _error_record(cell, "its worker process died before the run finished")
 
 
 def _run_grid(cells: list[tuple], heads: list[str], jobs: int, out_dir: Path,
@@ -342,17 +340,11 @@ def _run_grid(cells: list[tuple], heads: list[str], jobs: int, out_dir: Path,
     runs_dir.mkdir(parents=True, exist_ok=True)
     records = []
     workers = min(jobs, len(cells))  # a fork pool starts all its workers at once
-    parallel = workers > 1
-    if parallel:  # the pool machinery loads only in a process that starts a pool
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        returned = _records(pool.map(_run_cell, cells), cells) if parallel \
-            else map(_run_cell, cells)
-        for record in returned:
-            name = f"{_slug(record['head'])}__seed{record['seed']}.json"
-            (runs_dir / name).write_text(json.dumps(record, indent=2, sort_keys=True),
-                                         encoding="utf-8")
-            records.append(record)
+    for record in _pooled(cells, workers) if workers > 1 else map(_run_cell, cells):
+        name = f"{_slug(record['head'])}__seed{record['seed']}.json"
+        (runs_dir / name).write_text(json.dumps(record, indent=2, sort_keys=True),
+                                     encoding="utf-8")
+        records.append(record)
     failed = [r for r in records if "error" in r]
     for r in failed:
         print(f"run failed: {where}head={r['head']} seed={r['seed']}: {r['error']}",

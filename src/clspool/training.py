@@ -1,10 +1,12 @@
 """Fine-tuning harness: AdamW with linear warmup/decay, seeded end to end.
 
-Determinism contract: (seed, config, data) fully determine every parameter
-after training. Three independent generator streams are derived from the run
-seed - one for parameter init, one for epoch shuffling, one for dropout - so
-runs with different heads but the same seed still see identical data order
-(paired comparisons across heads stay valid).
+Determinism contract: at a fixed BLAS thread count, (seed, config, data)
+fully determine every parameter after training (a threaded BLAS may split a
+product's sum differently, so CI runs tier-1 with OPENBLAS_NUM_THREADS=1).
+Three independent generator streams are derived from the run seed - one for
+parameter init, one for epoch shuffling, one for dropout - so runs with
+different heads but the same seed still see identical data order (paired
+comparisons across heads stay valid).
 
 Checkpoints are a small binary format: magic ``MPBT``, a format version, the
 config as key=value text, named float32 tensors, and a trailing CRC-32 of
@@ -140,14 +142,15 @@ class OptimizerState:
     """AdamW state over one flat buffer holding every parameter it updates.
 
     Building it lays the parameters out in ``data`` and ``grad``, decayed
-    parameters first, copies in their values and gradients, and makes each
+    parameters first and the one-axis ones (biases, layer-norm gains), exempt
+    from decay, after; copies in their values and gradients, and makes each
     Array's .data and .grad a view of its slice, so backward accumulates
     straight into ``grad``."""
 
     def __init__(self, named_params: list[tuple[str, Array]]):
         self.step = 0
         self.named = named_params
-        exempt = [_decay_exempt(name) for name, _ in named_params]
+        exempt = [p.ndim < 2 for _, p in named_params]
         self.n_decay = sum(p.size for (_, p), skip in zip(named_params, exempt) if not skip)
         self.data = np.empty(sum(p.size for _, p in named_params),
                              dtype=named_params[0][1].dtype)
@@ -170,12 +173,6 @@ class OptimizerState:
             if p.grad is not grad:
                 grad[...] = 0 if p.grad is None else p.grad
                 p.grad = grad
-
-
-def _decay_exempt(name: str) -> bool:
-    # biases and layer-norm gains are excluded from weight decay
-    leaf = name.split(".")[-1]
-    return "bias" in leaf or "gain" in leaf or leaf.startswith("b_")
 
 
 def adamw_step(state: OptimizerState, lr: float, weight_decay: float) -> float:

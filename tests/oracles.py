@@ -11,8 +11,7 @@ import numpy as np
 
 from clspool.arraycore import LAYER_NORM_EPS, MASK_PENALTY, Tape, no_grad
 from clspool.metrics import accuracy, f1_binary, matthews_corr, spearman_rho_flagged
-from clspool.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingError, _decay_exempt,
-                              pad_batch)
+from clspool.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainingError, pad_batch
 
 
 def confusion_oracle(preds, labels):
@@ -85,6 +84,12 @@ class OptimizerStateOracle:
     step: int = 0
 
 
+def decay_exempt(p):
+    """Weight decay skips the one-axis parameters, biases and layer-norm
+    gains, whatever they are named."""
+    return len(p.data.shape) < 2
+
+
 def adamw_step_oracle(named_params, state, lr, weight_decay):
     state.step += 1
     t = state.step
@@ -104,7 +109,7 @@ def adamw_step_oracle(named_params, state, lr, weight_decay):
         v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data -= lr * update
-        if weight_decay != 0.0 and not _decay_exempt(name):
+        if weight_decay != 0.0 and not decay_exempt(p):
             p.data -= lr * weight_decay * p.data
         p.grad = None
 
@@ -115,7 +120,7 @@ def clip_global_norm_oracle(named_params, max_norm):
     squares = {False: [], True: []}  # by whether the parameter is decay-exempt
     for name, p in named_params:
         g = np.zeros(p.size) if p.grad is None else p.grad.astype(np.float64).ravel()
-        squares[_decay_exempt(name)].append(g ** 2)
+        squares[decay_exempt(p)].append(g ** 2)
     norm = np.sqrt(np.concatenate(squares[False] + squares[True]).sum())
     if norm > max_norm:
         scale = max_norm / norm

@@ -247,10 +247,10 @@ def test_criterion_7_schedule_and_optimizer():
             else 2e-5 * (100 - step) / 90
         schedule_ok &= abs(lr_at_step(step, 100, cfg) - closed) <= 1e-12
 
-    p = Array(np.array([1.0]))
-    p.grad = np.zeros(1)
+    p = Array(np.array([[1.0]]))  # a weight matrix: one-axis parameters are not decayed
+    p.grad = np.zeros((1, 1))
     adamw_step(OptimizerState([("w", p)]), lr=0.1, weight_decay=0.01)
-    adam_ok = p.data[0] == 1.0 - 0.1 * 0.01 * 1.0 and abs(p.data[0] - 0.999) < 1e-15
+    adam_ok = p.data[0, 0] == 1.0 - 0.1 * 0.01 * 1.0 and abs(p.data[0, 0] - 0.999) < 1e-15
 
     report(7, "lr schedule closed form and pure-decay AdamW example",
            schedule_ok and adam_ok)

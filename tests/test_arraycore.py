@@ -1,6 +1,8 @@
 import gc
 import inspect
 import math
+import zlib
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -482,100 +484,174 @@ def flat_row(x):
                     node=ac.Node("flat_row", (x,), lambda g: (g.reshape(shape),)))
 
 
-def _random_op_cases(rng):
-    """One (f, params, op) gradient-check case per differentiable op, random shapes.
+class OpCase(NamedTuple):
+    name: str
+    f: Callable[[], Array]
+    params: list[Array]
+    op: str
+    weights: Array
 
-    f is a random linear functional of the op's output, so the gradient of
-    every output element is checked (a plain sum would hide errors in softmax,
-    whose rows always sum to one); op names the op that made the output.
+
+def _random_op_cases(round_no: int, skip: frozenset = frozenset()) -> list[OpCase]:
+    """One gradient-check case per differentiable op, random shapes, for one round.
+
+    Each case's f is a random linear functional of the op's output, so the
+    gradient of every output element is checked (a plain sum would hide errors
+    in softmax, whose rows always sum to one); op names the op that made the
+    output. The round's shapes come from a generator keyed by the round alone,
+    and each case's inputs and weights from one keyed by the round and the
+    case's name, so adding, dropping (``skip``) or reordering a case leaves
+    every other case's arrays as they are.
     """
-    t = int(rng.integers(2, 5))
-    d = int(rng.integers(2, 5))
-    k = int(rng.integers(1, 4))
-    w = array(rng.normal(size=(t, d)).tolist())
+    shapes = np.random.default_rng([1234, round_no])
+    t, d, k = (int(n) for n in shapes.integers([2, 2, 1], [5, 5, 4]))
+    h, dh = (int(n) for n in shapes.integers(1, 3, size=2))  # attention heads, head width
+    f_width, e_width = (int(n) for n in shapes.integers(1, 4, size=2))  # feed-forward
+    cases = []
 
-    def wrap(out_fn, params):
+    def case(build):
+        """Add the case ``build`` makes from its own generator, keyed by its name."""
+        if build.__name__ in skip:
+            return
+        rng = np.random.default_rng([1234, round_no, zlib.crc32(build.__name__.encode())])
+        out_fn, params = build(lambda *shape: array(rng.normal(size=shape)), rng)
         out = out_fn()
         weights = array(rng.normal(size=(out.size, 1)))
 
         def f():
             return ac.sum_all(ac.matmul(flat_row(out_fn()), weights))
 
-        return f, params, out.node.op
+        cases.append(OpCase(build.__name__, f, params, out.node.op, weights))
 
-    x = array(rng.normal(size=(t, d)))
-    y = array(rng.normal(size=(t, d)))
-    v = array(rng.normal(size=d))
-    m = array(rng.normal(size=(d, t)))
-    gain = array(rng.normal(size=d))
-    bias = array(rng.normal(size=d))
-    theta = layers(rng.normal(size=(k, t, d)))
-    rng.random(t)  # the row mask of a deleted case, so that no later draw moves
-    ce_labels = rng.integers(0, d, size=t)
-    se_targets = rng.normal(size=t * d)
-    table = array(rng.normal(size=(t + 2, d)))
-    ids = rng.integers(0, t + 2, size=(2, t))
-    dropout_seed = int(rng.integers(1 << 30))
-    # attention: h heads of width dh; the last key of the self-attention case
-    # is masked, and the single-query case runs two heads over a batch of two
-    h = int(rng.integers(1, 3))
-    dh = int(rng.integers(1, 3))
-    aq, ak, av = (array(rng.normal(size=(t, h * dh))) for _ in range(3))
-    key_mask = np.ones(t)
-    key_mask[-1] = 0.0
-    q1 = array(rng.normal(size=(2, 1, 4)))
-    bk, bv = (array(rng.normal(size=(2, t, 4))) for _ in range(2))
-    batch_mask = (rng.random((2, t)) > 0.3).astype(float)
-    batch_mask[:, 0] = 1.0
-    cases = [
-        wrap(lambda: ac.matmul(x, m), [x, m]),
-        wrap(lambda: ac.add(x, y), [x, y]),
-        wrap(lambda: ac.add(x, v), [x, v]),
-        wrap(lambda: ac.sum_all(x), [x]),
-        wrap(lambda: ac.slice_rows(x, 0, max(1, t - 1)), [x]),
-    ]
-    # the weights a deleted (k=2, t, d) case drew here, so that every later case
-    # keeps the inputs it has always been checked on
-    rng.normal(size=(2 * t * d, 1))
-    cases += [
-        wrap(lambda: ac.max_over_axis0(theta), theta),
-        wrap(lambda: ac.mean_over_axis0(theta), theta),
-        wrap(lambda: ac.select_max_norm_axis0(theta), theta),
-        wrap(lambda: ac.layer_norm(x, gain, bias), [x, gain, bias]),
-    ]
-    rng.normal(size=(t * d, 1))  # the weights of a deleted (t, d) case
-    cases.append(wrap(lambda: ac.dropout(x, 0.3, np.random.default_rng(dropout_seed)), [x]))
-    rng.normal(size=(t * d, 1))  # and those of another
-    cases += [
-        wrap(lambda: ac.attention(aq, ak, av, key_mask, h), [aq, ak, av]),
-        wrap(lambda: ac.attention(q1, bk, bv, batch_mask, 2), [q1, bk, bv]),
-        wrap(lambda: ac.attention(bk, bk, bv, batch_mask, 2), [bk, bv]),
-        wrap(lambda: ac.embed_lookup(table, ids), [table]),
-        wrap(lambda: ac.cross_entropy_mean(x, ce_labels), [x]),
-        wrap(lambda: ac.squared_error_mean(x, se_targets), [x]),
-    ]
-    # drawn after every other case's inputs and weights, which it leaves as they were
-    batch = array(rng.normal(size=(2, t, d)))
-    rows = array(rng.normal(size=(t, d)))
-    cases.append(wrap(lambda: ac.add(batch, rows), [batch, rows]))
-    # drawn after the add case's weights, so no earlier case moves
-    f, e = (int(n) for n in rng.integers(1, 4, size=2))
-    w1, b1 = array(rng.normal(size=(d, f))), array(rng.normal(size=f))
-    w2, b2 = array(rng.normal(size=(f, e))), array(rng.normal(size=e))
-    cases.append(wrap(lambda: ac.feed_forward(batch, w1, b1, w2, b2), [batch, w1, b1, w2, b2]))
+    def batch_mask(rng):
+        mask = (rng.random((2, t)) > 0.3).astype(float)
+        mask[:, 0] = 1.0
+        return mask
+
+    @case
+    def matmul(normal, rng):
+        x, m = normal(t, d), normal(d, t)
+        return lambda: ac.matmul(x, m), [x, m]
+
+    @case
+    def add(normal, rng):
+        x, y = normal(t, d), normal(t, d)
+        return lambda: ac.add(x, y), [x, y]
+
+    @case
+    def add_vector(normal, rng):
+        x, v = normal(t, d), normal(d)
+        return lambda: ac.add(x, v), [x, v]
+
+    @case
+    def add_rows_to_a_batch(normal, rng):
+        batch, rows = normal(2, t, d), normal(t, d)
+        return lambda: ac.add(batch, rows), [batch, rows]
+
+    @case
+    def sum_all(normal, rng):
+        x = normal(t, d)
+        return lambda: ac.sum_all(x), [x]
+
+    @case
+    def slice_rows(normal, rng):
+        x = normal(t, d)
+        return lambda: ac.slice_rows(x, 0, max(1, t - 1)), [x]
+
+    @case
+    def max_over_axis0(normal, rng):
+        theta = [normal(t, d) for _ in range(k)]
+        return lambda: ac.max_over_axis0(theta), theta
+
+    @case
+    def mean_over_axis0(normal, rng):
+        theta = [normal(t, d) for _ in range(k)]
+        return lambda: ac.mean_over_axis0(theta), theta
+
+    @case
+    def select_max_norm_axis0(normal, rng):
+        theta = [normal(t, d) for _ in range(k)]
+        return lambda: ac.select_max_norm_axis0(theta), theta
+
+    @case
+    def layer_norm(normal, rng):
+        # rows of at least three: a row of two normalizes to +-1 whatever x is,
+        # so x's gradient is only the eps term's ~1e-5, which central differences
+        # resolve to ~1e-6 relative (width two is checked against the oracle)
+        x, gain, bias = normal(t, d + 1), normal(d + 1), normal(d + 1)
+        return lambda: ac.layer_norm(x, gain, bias), [x, gain, bias]
+
+    @case
+    def dropout(normal, rng):
+        x, seed = normal(t, d), int(rng.integers(1 << 30))
+        return lambda: ac.dropout(x, 0.3, np.random.default_rng(seed)), [x]
+
+    @case
+    def self_attention(normal, rng):  # the last key is masked
+        q, kk, v = (normal(t, h * dh) for _ in range(3))
+        key_mask = np.ones(t)
+        key_mask[-1] = 0.0
+        return lambda: ac.attention(q, kk, v, key_mask, h), [q, kk, v]
+
+    @case
+    def one_query_attention(normal, rng):  # two heads over a batch of two
+        q, kk, v = normal(2, 1, 4), normal(2, t, 4), normal(2, t, 4)
+        mask = batch_mask(rng)
+        return lambda: ac.attention(q, kk, v, mask, 2), [q, kk, v]
+
+    @case
+    def batched_self_attention(normal, rng):  # the queries are the keys
+        kk, v = normal(2, t, 4), normal(2, t, 4)
+        mask = batch_mask(rng)
+        return lambda: ac.attention(kk, kk, v, mask, 2), [kk, v]
+
+    @case
+    def embed_lookup(normal, rng):
+        table, ids = normal(t + 2, d), rng.integers(0, t + 2, size=(2, t))
+        return lambda: ac.embed_lookup(table, ids), [table]
+
+    @case
+    def cross_entropy_mean(normal, rng):
+        x, labels = normal(t, d), rng.integers(0, d, size=t)
+        return lambda: ac.cross_entropy_mean(x, labels), [x]
+
+    @case
+    def squared_error_mean(normal, rng):
+        x, targets = normal(t, d), rng.normal(size=t * d)
+        return lambda: ac.squared_error_mean(x, targets), [x]
+
+    @case
+    def feed_forward(normal, rng):
+        batch = normal(2, t, d)
+        w1, b1 = normal(d, f_width), normal(f_width)
+        w2, b2 = normal(f_width, e_width), normal(e_width)
+        return lambda: ac.feed_forward(batch, w1, b1, w2, b2), [batch, w1, b1, w2, b2]
+
     return cases
 
 
 def test_all_ops_match_finite_differences():
     """Spec invariant: every differentiable op agrees with central differences
     to < 1e-6 relative error over six rounds of randomized shapes (64-bit mode).
-    Each round draws from its own generator, so a case added to _random_op_cases
-    leaves every other round's draws as they are, and the round count does not
-    move with the number of cases."""
+    Each case draws from its own generator, so the round count does not move
+    with the number of cases."""
     for round_no in range(6):
-        for f, params, op in _random_op_cases(np.random.default_rng([1234, round_no])):
-            err = grad_check(f, params)
-            assert err < 1e-6, f"{op} case of round {round_no} failed with rel err {err}"
+        for case in _random_op_cases(round_no):
+            err = grad_check(case.f, case.params)
+            assert err < 1e-6, f"{case.name} case of round {round_no} failed with rel err {err}"
+
+
+def test_dropping_an_op_case_moves_no_other_case():
+    for round_no in range(2):
+        full = {case.name: case for case in _random_op_cases(round_no)}
+        for name in full:
+            for case in _random_op_cases(round_no, skip=frozenset({name})):
+                kept = full[case.name]
+                assert case.name != name
+                for got, want in zip([*case.params, case.weights],
+                                     [*kept.params, kept.weights], strict=True):
+                    assert got.data.tobytes() == want.data.tobytes(), (name, case.name)
+                assert case.f().data.tobytes() == kept.f().data.tobytes(), (name, case.name)
 
 
 # arraycore's public functions that record no tape node
@@ -585,7 +661,7 @@ NOT_OPS = {"array", "backward", "set_debug_checks", "grad_check"}
 def test_op_cases_cover_every_op():
     ops = {name for name in ac.__all__
            if inspect.isfunction(getattr(ac, name)) and name not in NOT_OPS}
-    covered = {op for _, _, op in _random_op_cases(np.random.default_rng(0))}
+    covered = {case.op for case in _random_op_cases(0)}
     assert ops <= covered, f"ops without a finite-difference case: {ops - covered}"
 
 
@@ -764,7 +840,8 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(13)
         for shape, scale, offset in [((4, 8, 32), 1.0, 0.0), ((64, 48, 32), 1.0, 0.0),
                                      ((3, 17, 32), 1e3, 1e4), ((2, 5, 7), 1e-3, 0.0),
-                                     ((6, 128), 30.0, -5.0), ((1, 1, 3), 1.0, 1.0)]:
+                                     ((6, 128), 30.0, -5.0), ((1, 1, 3), 1.0, 1.0),
+                                     ((5, 2), 1.0, 0.0)]:
             x = (rng.normal(size=shape) * scale + offset).astype(dtype)
             gain, bias = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
             g = rng.normal(size=shape).astype(dtype)

@@ -13,6 +13,7 @@ import tempfile
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -802,6 +803,52 @@ class TestCompareCommand:
         assert "error" not in alive and alive["metrics"]
         assert "head=baseline" not in err
         assert (tmp_path / "compare.txt").exists() and (tmp_path / "compare.csv").exists()
+
+    def test_a_broken_pool_leaves_each_lost_cell_to_a_pool_of_its_own(self, monkeypatch):
+        """A pool that gives back one record and then breaks: each cell not yet
+        back runs in a one-worker pool of its own, the records come back in cell
+        order, and only the cell whose lone worker dies too is a failed run."""
+        import clspool.cli as cli
+        from concurrent.futures.process import BrokenProcessPool
+        cells = [("pattern", head, SimpleNamespace(seed=seed), None, None)
+                 for head in ("baseline", "mha:h=2") for seed in (1, 2, 3)]
+        dies_alone = cells[3]
+        started = []
+
+        class Finished:  # the future of a cell run in a one-worker pool
+            def __init__(self, fn, cell):
+                self.fn, self.cell = fn, cell
+
+            def result(self):
+                if self.cell is dies_alone:
+                    raise BrokenProcessPool("its lone worker died")
+                return self.fn(self.cell)
+
+        class BreaksAfterOne:  # stands in for the pool, so no process starts
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                yield fn(items[0])
+                raise BrokenProcessPool("a worker died")
+
+            def submit(self, fn, cell):
+                return Finished(fn, cell)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreaksAfterOne)
+        monkeypatch.setattr(cli, "_run_cell",
+                            lambda cell: {"head": cell[1], "seed": cell[2].seed, "metrics": {}})
+        records = list(cli._pooled(cells, 4))
+        assert [(r["head"], r["seed"]) for r in records] == [(c[1], c[2].seed) for c in cells]
+        assert started == [4, 1, 1, 1, 1, 1]
+        assert [r for r in records if "error" in r] == [
+            cli._error_record(dies_alone, "its worker process died before the run finished")]
 
     def test_without_baseline_delta_omitted(self, tmp_path):
         rc = run_cli("compare", "--task", "pattern", *TINY,

@@ -47,7 +47,6 @@ import clspool.training as training
 from clspool.training import (
     Model,
     _batch_loss,
-    _decay_exempt,
     _eval_threads,
     _infer_n_classes,
 )
@@ -55,6 +54,7 @@ from oracles import (
     OptimizerStateOracle,
     adamw_step_oracle,
     clip_global_norm_oracle,
+    decay_exempt,
     evaluate_oracle,
     run_backward_oracle,
 )
@@ -115,11 +115,11 @@ class TestAdamW:
         assert p.data.tolist() == [1.0, -2.0]
 
     def test_pure_decay_example(self):
-        p = Array(np.array([1.0]))
-        p.grad = np.zeros(1)
+        p = Array(np.array([[1.0]]))  # a weight matrix: one-axis parameters are not decayed
+        p.grad = np.zeros((1, 1))
         adamw_step(OptimizerState([("w", p)]), lr=0.1, weight_decay=0.01)
-        assert p.data[0] == 1.0 - 0.1 * 0.01 * 1.0
-        assert abs(p.data[0] - 0.999) < 1e-15
+        assert p.data[0, 0] == 1.0 - 0.1 * 0.01 * 1.0
+        assert abs(p.data[0, 0] - 0.999) < 1e-15
 
     def test_first_step_is_signed_lr(self):
         for g in (3.0, -0.25):
@@ -220,13 +220,21 @@ class TestFlatOptimizer:
     def test_layout_is_views_with_decayed_parameters_first(self):
         named = build_model(small_cfg(head=parse_head_spec("mha:h=2")), 2).named_parameters()
         state = OptimizerState(named)
-        assert state.n_decay == sum(p.size for n, p in named if not _decay_exempt(n))
+        assert state.n_decay == sum(p.size for _, p in named if not decay_exempt(p))
         assert state.data.size == sum(p.size for _, p in named)
         for (name, p), (q, _, _, span) in zip(named, state.slots):
             assert q is p
-            assert (span.start >= state.n_decay) == _decay_exempt(name), name
+            assert (span.start >= state.n_decay) == decay_exempt(p), name
             assert np.shares_memory(p.data, state.data[span])
             assert np.shares_memory(p.grad, state.grad[span])
+
+    def test_decay_follows_the_shape_not_the_name(self):
+        named = [("x.bias", Array(np.ones((2, 2)))), ("w", Array(np.ones(3)))]
+        state = OptimizerState(named)
+        assert state.n_decay == 4
+        adamw_step(state, lr=0.1, weight_decay=0.5)  # zero gradients: only decay moves
+        assert np.all(named[0][1].data == 1.0 - 0.1 * 0.5)
+        assert np.all(named[1][1].data == 1.0)
 
     def test_nonfinite_grad_in_third_parameter_is_named(self):
         named = [(name, Array(np.ones(2))) for name in ("a.w", "b.w", "c.w", "d.bias")]
