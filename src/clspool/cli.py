@@ -44,6 +44,7 @@ from .encoder import EncoderConfig
 from .heads import VALID_HEAD_KINDS, ConfigurationError, HeadKind, parse_head_spec
 from .metrics import SeedAggregate, aggregate_seeds, check_range
 from .training import (
+    CheckpointError,
     Model,
     TrainConfig,
     TrainingError,
@@ -627,7 +628,10 @@ def cmd_eval(args) -> int:
         raise CliError("eval needs --ckpt PATH")
     exp = _experiment_from_args(args)
     with _input_file("--ckpt"):
-        model, cfg = model_from_checkpoint(args.ckpt)
+        try:
+            model, cfg = model_from_checkpoint(args.ckpt)
+        except CheckpointError as err:  # named as read_utf8 names a file
+            raise CliError(f"{Path(args.ckpt).name}: {err}") from None
     # generated data must fit the checkpoint's embedding; file data is cut to its length
     exp.vocab_size, exp.max_seq_len = cfg.encoder.vocab_size, cfg.encoder.max_seq_len
     _check_seq_len(exp, "the checkpoint's max_seq_len")

@@ -935,6 +935,39 @@ class TestFeedForward:
         assert out.node is None and out.dtype == dtype
         assert out.data.tobytes() == recorded.data.tobytes()
 
+    @pytest.mark.parametrize("layout", ["contiguous", "offset"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f", [128, 20])
+    @pytest.mark.parametrize("shape", [(4, 8, 32), (32, 17, 32), (16, 48, 32)],
+                             ids=["train-b4", "train-b32", "grid-t48"])
+    def test_backward_rebuilds_the_forward_tanh_term_bitwise(self, monkeypatch, shape, f,
+                                                              dtype, layout):
+        # the node keeps h, not gelu's tanh term t: backward rebuilds t from h
+        rng = np.random.default_rng(29)
+        d = shape[-1]
+        inputs = [rng.normal(size=shape), rng.normal(0.0, 0.3, size=(d, f)),
+                  rng.normal(0.0, 0.1, size=f), rng.normal(0.0, 0.3, size=(f, d)),
+                  rng.normal(0.0, 0.1, size=d)]
+        leaves = [ac.Array(a.astype(dtype)) for a in inputs]
+        x, w1, b1 = (leaf.data for leaf in leaves[:3])
+        h = x @ w1 + b1
+        if layout == "offset":  # one element past an aligned start, as most op outputs lie
+            h = np.concatenate([np.zeros(1, dtype), h.ravel()])[1:].reshape(h.shape)
+            assert h.ctypes.data % 64 != 0
+        h.flags.writeable = False  # a write into the input raises
+        want = np.tanh(ac._GELU_C * (h + ac._GELU_A * ((h * h) * h)))  # out of place
+        assert ac._gelu_tanh(h).tobytes() == want.tobytes()
+        built, gelu_tanh = [], ac._gelu_tanh
+
+        def recording_gelu_tanh(pre):
+            t = gelu_tanh(pre)
+            built.append((pre.tobytes(), t.tobytes()))
+            return t
+
+        monkeypatch.setattr(ac, "_gelu_tanh", recording_gelu_tanh)
+        backward(ac.feed_forward(*leaves), seed=rng.normal(size=shape).astype(dtype))
+        assert built == [(h.tobytes(), want.tobytes())] * 2  # forward, then backward
+
     @pytest.mark.parametrize("shapes", [
         [(3,), (3, 5), (5,), (5, 2), (2,)],  # x without a row axis
         [(4, 3), (4, 5), (5,), (5, 2), (2,)],

@@ -7,10 +7,12 @@ import os
 import pkgutil
 import re
 import shlex
+import struct
 import subprocess
 import sys
 import tempfile
 import warnings
+import zlib
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -52,6 +54,12 @@ TINY_CKPT = str(Path(__file__).parent / "data" / "tiny.ckpt")
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def _resealed(blob: bytes) -> bytes:
+    """A checkpoint's bytes with the CRC-32 recomputed over its payload."""
+    payload = blob[4:-4]
+    return blob[:4] + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
 REGRESSION_SET_OF_ONE = ("the {} set has size 1; a regression task needs at least 2 "
@@ -216,7 +224,7 @@ class TestExitCodes:
         elif failure == "not-utf8":
             message = "bad.txt:2: not valid UTF-8"
         else:
-            message = "format error: bad magic bytes" if flag == "--ckpt" \
+            message = "bad.txt: format error: bad magic bytes" if flag == "--ckpt" \
                 else f"{flag} file {bad} holds no examples"
         files[flag] = str(bad)
         ckpt = files.pop("--ckpt")
@@ -236,6 +244,23 @@ class TestExitCodes:
             assert (command, rc, captured.out, captured.err) == \
                 (command, 2, "", f"error: {message}\n")
             assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda blob: b"", "format error: bad magic bytes"),
+        (lambda blob: b"XXXX" + blob[4:], "format error: bad magic bytes"),
+        (lambda blob: _resealed(blob[:len(blob) // 2]), "truncated checkpoint file"),
+        (lambda blob: blob[:50] + bytes([blob[50] ^ 0xFF]) + blob[51:],
+         "checksum failure: CRC-32 mismatch"),
+        (lambda blob: _resealed(blob[:4] + struct.pack("<I", 999) + blob[8:]),
+         "unsupported checkpoint version 999"),
+        (lambda blob: _resealed(blob[:-4] + b"\x00" + blob[-4:]),
+         "format error: trailing bytes after parameters"),
+    ], ids=["empty", "bad-magic", "truncated", "crc-mismatch", "version", "trailing-bytes"])
+    def test_a_bad_checkpoint_is_named_by_its_file(self, tmp_path, capsys, damage, reason):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(damage(Path(TINY_CKPT).read_bytes()))
+        rc = run_cli("eval", "--ckpt", str(ckpt), "--task", "pattern", *TINY_DATA)
+        assert (rc, *capsys.readouterr()) == (2, "", f"error: model.ckpt: {reason}\n")
 
     def test_negative_class_label_stops_compare_at_load(self, tmp_path, capsys):
         rows = [{"tokens": [5, 6], "label": -1 if i == 2 else i % 2} for i in range(8)]
